@@ -21,8 +21,8 @@ from .spectrum import (LevelRecord, LocusPoint, SingularityReport,
 from .verify import (REFERENCE_GRID, GridSpec, ScanPoint, ScatteringResult,
                      discrete_spectrum, jost_solutions, residual, scattering,
                      singularity_scan)
-from .wavefunctions import (GridFunction, JacobiSpec, QuadratureResult,
-                            bound_state, bound_state_derivative, gudermannian,
+from .wavefunctions import (JacobiSpec, QuadratureResult, bound_state,
+                            bound_state_derivative, gudermannian,
                             jacobi_derivative, jacobi_eval, jacobi_explicit,
                             log_sech, pseudo_norm, singularity_wavefunction,
                             wavefunction_derivative, wavefunction_value)
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BRANCH_SIGNS", "ConvergenceError", "CouplingParams", "DegeneracyNote",
-    "DerivedParams", "DomainError", "GridFunction", "GridSpec", "JacobiSpec",
+    "DerivedParams", "DomainError", "GridSpec", "JacobiSpec",
     "LevelRecord", "LocusPoint", "PartnerBranch", "PartnerKind",
     "PartnerSingularityReport", "PartnerSpectrumEdit", "PoleError",
     "QuadratureResult", "REFERENCE_GRID", "Regime", "RegimeError",

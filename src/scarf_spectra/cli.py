@@ -32,6 +32,7 @@ SCHEMA = "scarf-spectra/1"
 
 _EPSILON_FLAGS = {"+": 1, "-": -1}
 _BRANCH_FLAGS = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}
+_BRANCH_LABELS = {signs: label for label, signs in _BRANCH_FLAGS.items()}
 
 
 @dataclass(frozen=True)
@@ -210,8 +211,7 @@ def _branch_json(branch: PartnerBranch, d, params: CouplingParams,
     if edit.degeneracy is not None:
         deg = {"n": edit.degeneracy.n, "energy": edit.degeneracy.energy}
     return {
-        "branch": "%s%s" % ("+" if branch.eps_plus > 0 else "-",
-                            "+" if branch.eps_minus > 0 else "-"),
+        "branch": _BRANCH_LABELS[(branch.eps_plus, branch.eps_minus)],
         "kind": branch.kind.value,
         "a": complex(branch.a), "b": complex(branch.b), "c": complex(branch.c),
         "factorization_energy": complex(branch.factorization_energy),
@@ -240,9 +240,7 @@ def _cmd_partner(cfg: RunConfig):
         except SingularBranchError as exc:
             if cfg.branch is not None:
                 raise
-            branches.append({"branch": "%s%s" % ("+" if ep > 0 else "-",
-                                                 "+" if em > 0 else "-"),
-                             "error": str(exc)})
+            branches.append({"branch": _BRANCH_LABELS[(ep, em)], "error": str(exc)})
             continue
         branches.append(_branch_json(branch, d, params, xs))
     return {"branches": branches}, None
@@ -269,6 +267,11 @@ def _cmd_scatter(cfg: RunConfig):
     return results, None
 
 
+def _worst(values) -> float:
+    # np.max, not max(): Python's max drops a NaN that is not first
+    return float(np.max(list(values)))
+
+
 def _verify_checks(cfg: RunConfig) -> list:
     params = CouplingParams(cfg.v1, cfg.v2)
     d = derive(params)
@@ -282,50 +285,47 @@ def _verify_checks(cfg: RunConfig) -> list:
                        "value": float(value), "threshold": float(threshold),
                        "note": note})
 
+    def skip(name, note):
+        checks.append({"name": name, "passed": True, "value": None,
+                       "threshold": None, "note": note})
+
     vv = potential_value(params, xs)
     scale = np.max(np.abs(vv))
     record("potential-pt-symmetry",
            np.max(np.abs(np.conj(vv[::-1]) - vv)) / scale, 1e-13)
 
     if d.regime is Regime.BOUNDARY:
-        checks.append({"name": "spectrum", "passed": True, "value": None,
-                       "threshold": None,
-                       "note": "regime boundary: spectral checks skipped"})
+        skip("spectrum", "regime boundary: spectral checks skipped")
         return checks
 
     levels = spectrum(d)
     if levels:
-        worst = max(max(matching_residuals(lv, params).values()) for lv in levels)
-        record("matching-conditions", worst, 1e-10)
-        worst = max(residual(potential, lambda x, _lv=lv: bound_state(_lv, x),
-                             lv.energy, grid) for lv in levels)
-        record("wavefunction-residuals", worst, 1e-6)
+        record("matching-conditions",
+               _worst(r for lv in levels for r in matching_residuals(lv, params).values()),
+               1e-10)
+        record("wavefunction-residuals",
+               _worst(residual(potential, lambda x, _lv=lv: bound_state(_lv, x),
+                               lv.energy, grid) for lv in levels), 1e-6)
         numeric = discrete_spectrum(potential, grid, count=len(levels))
-        gap = 0.0
-        for lv in levels:
-            best = min(abs(complex(lv.energy) - z) for z in numeric) if numeric else np.inf
-            gap = max(gap, best / (1.0 + abs(lv.energy)))
+        gap = _worst(min((abs(complex(lv.energy) - z) for z in numeric), default=np.inf)
+                     / (1.0 + abs(lv.energy)) for lv in levels)
         record("analytic-vs-numeric-levels", gap,
                max(1e-3, 10.0 * grid.h ** 2), note=f"{len(levels)} levels")
     else:
-        checks.append({"name": "spectrum", "passed": True, "value": None,
-                       "threshold": None, "note": "no bound levels"})
+        skip("spectrum", "no bound levels")
 
     if d.nu > 0:
         for ep, em in BRANCH_SIGNS:
-            name = "factorization-%s%s" % ("+" if ep > 0 else "-",
-                                           "+" if em > 0 else "-")
+            name = "factorization-" + _BRANCH_LABELS[(ep, em)]
             try:
                 branch = solve_branch(d, ep, em)
             except SingularBranchError as exc:
-                checks.append({"name": name, "passed": True, "value": None,
-                               "threshold": None, "note": str(exc)})
+                skip(name, str(exc))
                 continue
             res_v, res_ext = factorization_residuals(branch, params, xs)
-            record(name, max(res_v, res_ext), 1e-8)
+            record(name, _worst((res_v, res_ext)), 1e-8)
     else:
-        checks.append({"name": "factorization", "passed": True, "value": None,
-                       "threshold": None, "note": "v2 < 0: partner checks skipped"})
+        skip("factorization", "v2 < 0: partner checks skipped")
     return checks
 
 

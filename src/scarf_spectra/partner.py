@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import cmath
 import enum
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,8 +46,9 @@ from .params import (CouplingParams, DerivedParams, Regime, _as_complex,
                      couplings_from_derived,
                      potential_value, wavefunction_params)
 from .spectrum import (LevelRecord, SingularityReport, detect_singularity, spectrum)
-from .wavefunctions import (bound_state, bound_state_derivative, gudermannian,
-                            log_sech, wavefunction_value)
+from .wavefunctions import (JacobiSpec, bound_state, bound_state_derivative,
+                            gudermannian, jacobi_coeffs, log_sech,
+                            wavefunction_value)
 
 BRANCH_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
@@ -236,21 +236,6 @@ def partner_spectrum(branch: PartnerBranch, d: DerivedParams):
 # exceptional (X1) Jacobi polynomials and partner polynomial families
 # ============================================================================
 
-def _jacobi_coeffs(n: int, alpha: complex, beta: complex) -> np.ndarray:
-    """Ascending coefficient array of P_n^{(alpha,beta)} via the explicit sum."""
-    total = np.zeros(n + 1, dtype=complex)
-    for k in range(n + 1):
-        coeff = 1.0 + 0.0j
-        for i in range(n - k):
-            coeff *= (n + alpha - i) / (i + 1)
-        for i in range(k):
-            coeff *= (n + beta - i) / (i + 1)
-        term = npoly.polymul(npoly.polypow(np.array([-0.5, 0.5]), k),
-                             npoly.polypow(np.array([0.5, 0.5]), n - k)) * coeff
-        total[:len(term)] += term
-    return total
-
-
 def exceptional_jacobi_coeffs(degree: int, s: complex, p: complex) -> np.ndarray:
     """Coefficients of the degree-k X1 exceptional Jacobi polynomial.
 
@@ -265,7 +250,7 @@ def exceptional_jacobi_coeffs(degree: int, s: complex, p: complex) -> np.ndarray
     if abs(2.0 * s - 1.0) < 1e-10 or abs(p + s - 1.0) < 1e-10:
         raise DomainError("degenerate X1 construction: 2s - 1 or p + s - 1 vanishes")
     n = degree - 1
-    pn = _jacobi_coeffs(n, 2.0 * s, -2.0 * p)
+    pn = jacobi_coeffs(JacobiSpec(n, 2.0 * s, -2.0 * p))
     dpn = npoly.polyder(pn)
     b_lin = np.array([p - s, -(p + s - 1.0)], dtype=complex)
     one_minus_y = np.array([1.0, -1.0], dtype=complex)
@@ -302,7 +287,7 @@ def partner_polynomial_coeffs(n: int, epsilon: int, p: complex, sig: complex) ->
         raise DomainError(f"epsilon must be +1 or -1, got {epsilon}")
     if n == 1:
         raise DomainError("n = 1 is the level deleted by the (+, +) branch")
-    pn = _jacobi_coeffs(n, -2.0 * sig, -2.0 * p)
+    pn = jacobi_coeffs(JacobiSpec(n, -2.0 * sig, -2.0 * p))
     b_lin = np.array([p - sig, -(p + sig - 1.0)], dtype=complex)
     q = npoly.polyadd((p + sig - 1.0) * pn, npoly.polymul(b_lin, npoly.polyder(pn)))
     if n == 0:
@@ -330,7 +315,7 @@ def partner_wavefunction(branch: PartnerBranch, level: LevelRecord, x):
                    + superpotential(branch, x) * bound_state(level, x))
 
 
-def partner_series_count(branch: PartnerBranch, d: DerivedParams, epsilon: int) -> float:
+def partner_series_count(d: DerivedParams, epsilon: int) -> float:
     """Upper bound of the partner level index n for the (+, +) branch."""
     if d.regime is Regime.COMPLEX_SPECTRUM:
         return d.p - 0.5
@@ -353,7 +338,7 @@ def partner_wavefunction_closed(branch: PartnerBranch, d: DerivedParams,
     _check_branch_matches(branch, d)
     if epsilon not in (-1, 1):
         raise DomainError(f"epsilon must be +1 or -1, got {epsilon}")
-    if n < 0 or not n < partner_series_count(branch, d, epsilon):
+    if n < 0 or not n < partner_series_count(d, epsilon):
         raise DomainError(f"partner level n = {n} outside the eps = {epsilon:+d} series")
     if epsilon == 1 and n == 1:
         raise DomainError("n = 1 is the level deleted by the (+, +) branch")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, RegimeError
 from .params import (CouplingParams, DerivedParams, Regime, WavefunctionParams,
-                     wavefunction_params)
+                     derive, wavefunction_params)
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,7 @@ class LevelRecord:
 
 def _series_count(lam_real: float) -> int:
     """Number of integers n >= 0 with n < lam_real (strict)."""
-    if lam_real <= 0:
-        return 0
-    c = int(math.floor(lam_real)) + 1
-    while c > 0 and not (c - 1 < lam_real):
-        c -= 1
-    return c
+    return math.ceil(lam_real) if lam_real > 0 else 0
 
 
 def real_spectrum(d: DerivedParams) -> list[LevelRecord]:
@@ -157,7 +152,6 @@ def singularity_locus(n: int, v1_range: tuple, steps: int) -> list[LocusPoint]:
         raise DomainError(f"invalid v1 range ({v1_min}, {v1_max})")
     coupling_sum = 4.0 * n * n + 4.0 * n + 0.75
     points = []
-    from .params import derive  # local import keeps module load order flat
     for v1 in np.linspace(v1_min, v1_max, steps):
         v1 = float(v1)
         v2 = coupling_sum - v1

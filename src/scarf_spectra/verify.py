@@ -137,8 +137,9 @@ def discrete_spectrum(potential: Callable, grid: GridSpec, count: int,
             denom = np.dot(v, v)
             if abs(denom) < 1e-300:
                 break
-            theta_new = np.dot(v, _matvec(diag, off, v)) / denom
-            resid = np.linalg.norm(_matvec(diag, off, v) - theta_new * v)
+            hv = _matvec(diag, off, v)
+            theta_new = np.dot(v, hv) / denom
+            resid = np.linalg.norm(hv - theta_new * v)
             theta = theta_new
             if resid < 1e-9 * max(1.0, abs(theta)):
                 ok = True
@@ -165,35 +166,25 @@ class ScatteringResult:
     wronskian_ratio: float
 
 
-def _jost_pair(potential: Callable, k: float, grid: GridSpec,
-               rtol: float = 1e-11, atol: float = 1e-11):
-    """Jost solutions f+ (-> e^{ikx} at +inf) and f- (-> e^{-ikx} at -inf).
+def _from_wall(rhs: Callable, wall: float, start, xe: np.ndarray,
+               rtol: float, atol: float):
+    """Value and derivative at ``xe`` of the solution with data ``start`` at
+    x = wall, integrated across to the other wall.
 
-    Each is integrated from its own wall to the other; values and
-    derivatives at x = 0 and at the far wall are returned.
+    Points on the starting wall take ``start`` itself, so the integrator
+    builds no dense output for them.
     """
-    L = grid.half_width
-    if not (k > 0.0 and math.isfinite(k)):
-        raise DomainError(f"k must be positive and finite, got {k}")
-    if k * L < 2.0 * math.pi:
-        raise DomainError(
-            f"k*half_width = {k * L:.3g} < 2*pi: grid too short for asymptotic plane waves")
-
-    def rhs(t, y):
-        return [y[1], (complex(potential(t)) - k * k) * y[0]]
-
-    phase = complex(np.exp(1j * k * L))
-    sol_p = solve_ivp(rhs, (L, -L), [phase, 1j * k * phase], t_eval=[0.0, -L],
-                      rtol=rtol, atol=atol, method="DOP853")
-    sol_m = solve_ivp(rhs, (-L, L), [phase, -1j * k * phase], t_eval=[0.0, L],
-                      rtol=rtol, atol=atol, method="DOP853")
-    if not (sol_p.success and sol_m.success):
-        raise ConvergenceError("Jost integration failed: " + (sol_p.message or sol_m.message))
-    fp0, dfp0 = sol_p.y[0][0], sol_p.y[1][0]
-    fpL, dfpL = sol_p.y[0][1], sol_p.y[1][1]      # at x = -L
-    fm0, dfm0 = sol_m.y[0][0], sol_m.y[1][0]
-    fmL, dfmL = sol_m.y[0][1], sol_m.y[1][1]      # at x = +L
-    return (fp0, dfp0, fpL, dfpL), (fm0, dfm0, fmL, dfmL)
+    out = np.empty((2, len(xe)), dtype=complex)
+    inner = xe != wall
+    out[:, ~inner] = np.reshape(start, (2, 1))
+    ts, where = np.unique(xe[inner], return_inverse=True)
+    step = -1 if wall > 0.0 else 1          # t_eval must follow the direction
+    sol = solve_ivp(rhs, (wall, -wall), start, t_eval=ts[::step],
+                    rtol=rtol, atol=atol, method="DOP853")
+    if not sol.success:
+        raise ConvergenceError("Jost integration failed: " + sol.message)
+    out[:, inner] = sol.y[:, ::step][:, where]
+    return out
 
 
 def jost_solutions(potential: Callable, k: float, grid: GridSpec, x_eval,
@@ -220,21 +211,8 @@ def jost_solutions(potential: Callable, k: float, grid: GridSpec, x_eval,
         return [y[1], (complex(potential(t)) - k * k) * y[0]]
 
     phase = complex(np.exp(1j * k * L))
-    down = np.sort(xe)[::-1]
-    up = np.sort(xe)
-    sol_p = solve_ivp(rhs, (L, -L), [phase, 1j * k * phase], t_eval=down,
-                      rtol=rtol, atol=atol, method="DOP853")
-    sol_m = solve_ivp(rhs, (-L, L), [phase, -1j * k * phase], t_eval=up,
-                      rtol=rtol, atol=atol, method="DOP853")
-    if not (sol_p.success and sol_m.success):
-        raise ConvergenceError("Jost integration failed: " + (sol_p.message or sol_m.message))
-    # map back to the caller's ordering
-    order_d = np.argsort(np.argsort(-xe, kind="stable"), kind="stable")
-    order_u = np.argsort(np.argsort(xe, kind="stable"), kind="stable")
-    fp = sol_p.y[0][order_d]
-    dfp = sol_p.y[1][order_d]
-    fm = sol_m.y[0][order_u]
-    dfm = sol_m.y[1][order_u]
+    fp, dfp = _from_wall(rhs, L, [phase, 1j * k * phase], xe, rtol, atol)
+    fm, dfm = _from_wall(rhs, -L, [phase, -1j * k * phase], xe, rtol, atol)
     return fp, dfp, fm, dfm
 
 
@@ -246,9 +224,11 @@ def scattering(potential: Callable, k: float, grid: GridSpec,
     left-incidence one.  ``wronskian_ratio`` is |W[f+, f-]| at x = 0 scaled
     by the size of its terms; it dips toward 0 at a spectral singularity.
     """
-    (fp0, dfp0, fpL, dfpL), (fm0, dfm0, fmL, dfmL) = _jost_pair(
-        potential, k, grid, rtol=rtol, atol=atol)
     L = grid.half_width
+    fp, dfp, fm, dfm = jost_solutions(potential, k, grid, [-L, 0.0, L],
+                                      rtol=rtol, atol=atol)
+    fpL, dfpL, fmL, dfmL = fp[0], dfp[0], fm[2], dfm[2]     # f+ at -L, f- at +L
+    fp0, dfp0, fm0, dfm0 = fp[1], dfp[1], fm[1], dfm[1]     # both at x = 0
     eikl = complex(np.exp(1j * k * L))
     # f+ near -L: A e^{ikx} + B e^{-ikx}; left incidence T = 1/A, R_L = B/A
     a_amp = eikl * (fpL + dfpL / (1j * k)) / 2.0

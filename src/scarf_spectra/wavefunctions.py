@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .errors import ConvergenceError, DomainError
 from .params import (DerivedParams, Regime, WavefunctionParams, _as_complex,
@@ -50,18 +51,36 @@ def _binomial_rising(z: complex, j: int) -> complex:
     return out
 
 
+def _explicit_coeff(spec: JacobiSpec, k: int) -> complex:
+    """Weight C(n+alpha, n-k) C(n+beta, k) of ((y-1)/2)^k ((y+1)/2)^(n-k) in
+    the explicit sum for P_n^{(alpha,beta)}(y)."""
+    return (_binomial_rising(spec.n + spec.alpha, spec.n - k)
+            * _binomial_rising(spec.n + spec.beta, k))
+
+
 def jacobi_explicit(spec: JacobiSpec, y):
     """P_n^{(alpha,beta)}(y) by the explicit finite sum (no denominators that
     can degenerate; slower than the recurrence, used as fallback and oracle)."""
     y = np.asarray(y, dtype=complex)
-    n, al, be = spec.n, spec.alpha, spec.beta
+    n = spec.n
     half_minus = (y - 1.0) / 2.0
     half_plus = (y + 1.0) / 2.0
     total = np.zeros_like(y)
     for k in range(n + 1):
-        coeff = _binomial_rising(n + al, n - k) * _binomial_rising(n + be, k)
-        total = total + coeff * half_minus ** k * half_plus ** (n - k)
+        total = total + _explicit_coeff(spec, k) * half_minus ** k * half_plus ** (n - k)
     return _as_complex(total)
+
+
+def jacobi_coeffs(spec: JacobiSpec) -> np.ndarray:
+    """Ascending power-series coefficients of P_n^{(alpha,beta)}(y), from the
+    same explicit sum as :func:`jacobi_explicit`."""
+    n = spec.n
+    total = np.zeros(n + 1, dtype=complex)
+    for k in range(n + 1):
+        term = npoly.polymul(npoly.polypow(np.array([-0.5, 0.5]), k),
+                             npoly.polypow(np.array([0.5, 0.5]), n - k))
+        total[:len(term)] += term * _explicit_coeff(spec, k)
+    return total
 
 
 def jacobi_eval(spec: JacobiSpec, y):
@@ -176,38 +195,6 @@ def singularity_wavefunction(report, d: DerivedParams, epsilon: int, x):
 # ============================================================================
 # grids and quadrature
 # ============================================================================
-
-@dataclass(frozen=True)
-class GridFunction:
-    """A complex-valued function sampled on a uniform grid."""
-
-    x_min: float
-    x_max: float
-    n_points: int
-    values: tuple
-
-    def __post_init__(self):
-        if self.n_points < 3:
-            raise DomainError("grid needs at least 3 points")
-        if not self.x_max > self.x_min:
-            raise DomainError("empty grid interval")
-        if len(self.values) != self.n_points:
-            raise DomainError("value count does not match n_points")
-
-    @property
-    def x(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_points)
-
-    @property
-    def h(self) -> float:
-        return (self.x_max - self.x_min) / (self.n_points - 1)
-
-    @classmethod
-    def sample(cls, f: Callable, x_min: float, x_max: float, n_points: int) -> "GridFunction":
-        xs = np.linspace(x_min, x_max, n_points)
-        vals = np.asarray(f(xs), dtype=complex)
-        return cls(x_min=x_min, x_max=x_max, n_points=n_points, values=tuple(vals.tolist()))
-
 
 @dataclass(frozen=True)
 class QuadratureResult:

@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from scarf_spectra import CouplingParams, bound_state, derive, real_spectrum
+import scarf_spectra.cli as cli
+from scarf_spectra import (CouplingParams, bound_state, derive, real_spectrum,
+                           spectrum)
 from scarf_spectra.cli import main
 
 
@@ -204,6 +206,21 @@ def test_verify_command_passes(capsys):
     assert "matching-conditions" in names
     assert "analytic-vs-numeric-levels" in names
     assert any(n.startswith("factorization-") for n in names)
+
+
+def test_verify_nan_residual_fails_its_check(capsys, monkeypatch):
+    # a NaN residual that is not the first one still fails its row
+    levels = spectrum(derive(CouplingParams(12.0, 6.0)))
+    values = iter([1e-9, 1e-9, float("nan"), 1e-9])
+    monkeypatch.setattr(cli, "residual", lambda *args, **kwargs: next(values))
+    monkeypatch.setattr(cli, "discrete_spectrum",
+                        lambda potential, grid, count: [lv.energy for lv in levels])
+    code, out, _ = _run(capsys, ["verify", "--v1", "12", "--v2", "6"])
+    assert code == 4
+    checks = {c["name"]: c for c in json.loads(out)["results"]["checks"]}
+    row = checks.pop("wavefunction-residuals")
+    assert row["passed"] is False and row["value"] == "nan"
+    assert all(c["passed"] for c in checks.values())
 
 
 def test_module_entry_point_subprocess():

@@ -7,6 +7,7 @@ from scarf_spectra import (CouplingParams, DomainError, Regime, RegimeError,
                            complex_spectrum, derive, detect_singularity,
                            matching_residuals, real_spectrum, singularity_locus,
                            spectrum)
+from scarf_spectra.spectrum import _series_count
 
 REAL_LEVELS_12_6 = {
     (0, 1): -8.329001404494074188,
@@ -224,3 +225,8 @@ def test_singularity_locus_bad_ranges():
         singularity_locus(-1, (1.0, 2.0), 2)
     with pytest.raises(DomainError):
         singularity_locus(1, (1.0, 2.0), 0)
+
+
+@pytest.mark.parametrize("lam", [-1.0, 0.0, 1e-12, 0.5, 1.0, 3.0, 3.0 + 1e-9])
+def test_series_count_matches_brute_force(lam):
+    assert _series_count(lam) == sum(1 for n in range(10) if n < lam)

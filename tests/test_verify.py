@@ -145,6 +145,21 @@ def test_jost_solutions_point_order_and_domain():
         jost_solutions(_zero, 1.0, g, [30.0])
 
 
+def test_jost_solutions_wall_points_and_repeats():
+    g = GridSpec(25.0, 1001)
+    k = 1.0
+    fp, dfp, fm, dfm = jost_solutions(_pot(PARAMS_COMPLEX), k, g, [25.0, 0.0, -25.0, 0.0])
+    # each solution carries its plane-wave data exactly on its own wall
+    phase = np.exp(1j * k * 25.0)
+    assert (fp[0], dfp[0]) == (phase, 1j * k * phase)
+    assert (fm[2], dfm[2]) == (phase, -1j * k * phase)
+    assert (fp[1], dfp[1], fm[1], dfm[1]) == (fp[3], dfp[3], fm[3], dfm[3])
+    sc = scattering(_pot(PARAMS_COMPLEX), k, g)
+    wr = fp[1] * dfm[1] - dfp[1] * fm[1]
+    scale = abs(fp[1]) * abs(dfm[1]) + abs(dfp[1]) * abs(fm[1])
+    assert sc.wronskian_ratio == abs(wr) / scale
+
+
 # ---------------------------------------------------------------------------
 # singularity scan
 # ---------------------------------------------------------------------------

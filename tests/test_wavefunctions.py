@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from scarf_spectra import (ConvergenceError, CouplingParams, DomainError, GridSpec,
                            JacobiSpec, bound_state, bound_state_derivative, derive,
@@ -10,6 +11,7 @@ from scarf_spectra import (ConvergenceError, CouplingParams, DomainError, GridSp
                            residual, singularity_wavefunction, spectrum,
                            wavefunction_derivative, wavefunction_params,
                            wavefunction_value)
+from scarf_spectra.wavefunctions import jacobi_coeffs
 
 
 def test_jacobi_degree_zero_and_validation():
@@ -53,6 +55,24 @@ def test_jacobi_degenerate_recurrence_falls_back():
     a = jacobi_eval(spec, ys)
     b = jacobi_explicit(spec, ys)
     assert np.max(np.abs(a - b)) < 1e-10
+
+
+def test_jacobi_coeffs_match_explicit_sum():
+    rng = np.random.default_rng(7)
+    # alpha + beta = -4 degenerates the recurrence, not the explicit sum
+    specs = [JacobiSpec(n, -1.0, -3.0) for n in range(9)]
+    specs += [JacobiSpec(n, -1.5 + 0.7j, -2.5 - 0.7j) for n in range(9)]
+    for _ in range(40):
+        specs.append(JacobiSpec(int(rng.integers(0, 9)),
+                                complex(rng.uniform(-3, 3), rng.uniform(-2, 2)),
+                                complex(rng.uniform(-3, 3), rng.uniform(-2, 2))))
+    ys = rng.uniform(-2, 2, 7) + 1j * rng.uniform(-2, 2, 7)
+    for spec in specs:
+        coeffs = jacobi_coeffs(spec)
+        assert coeffs.shape == (spec.n + 1,)
+        want = jacobi_explicit(spec, ys)
+        got = npoly.polyval(ys, coeffs)
+        assert np.all(np.abs(got - want) <= 1e-10 * (1.0 + np.abs(want))), spec
 
 
 def test_jacobi_derivative_matches_differencing():
