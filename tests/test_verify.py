@@ -1,11 +1,16 @@
+import logging
+
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from scarf_spectra import (ConvergenceError, CouplingParams, DomainError,
-                           GridSpec, REFERENCE_GRID, bound_state, complex_spectrum,
-                           derive, discrete_spectrum, jost_solutions,
-                           potential_value, real_spectrum, residual, scattering,
-                           singularity_scan)
+from scarf_spectra import (BRANCH_SIGNS, ConvergenceError, CouplingParams,
+                           DomainError, GridSpec, REFERENCE_GRID, bound_state,
+                           complex_spectrum, derive, discrete_spectrum,
+                           extended_potential, jost_solutions, potential_value,
+                           real_spectrum, residual, scattering, singularity_scan,
+                           solve_branch)
 
 PARAMS_REAL = CouplingParams(12.0, 6.0)
 PARAMS_COMPLEX = CouplingParams(1.0, 5.0)
@@ -158,6 +163,103 @@ def test_jost_solutions_wall_points_and_repeats():
     wr = fp[1] * dfm[1] - dfp[1] * fm[1]
     scale = abs(fp[1]) * abs(dfm[1]) + abs(dfp[1]) * abs(fm[1])
     assert sc.wronskian_ratio == abs(wr) / scale
+
+
+def _gamma_transmission(v1, v2, k):
+    """Closed-form Scarf II transmission amplitude (Khare & Sukhatme; Z. Ahmed,
+    Phys. Rev. A 64 (2001) 042716), with p = sqrt(v1 + |v2| + 1/4) / 2 and
+    sigma = sqrt(v1 - |v2| + 1/4) / 2 (imaginary in the broken regime):
+
+    T(k) = prod_{z = p + sigma, p - sigma} G(1/2 - z - ik) G(1/2 + z - ik)
+           / [G(-ik) G(1 - ik) G(1/2 - ik)^2].
+    """
+    with mp.workdps(30):
+        ik = 1j * mp.mpf(k)
+        p = mp.sqrt(v1 + abs(v2) + mp.mpf(1) / 4) / 2
+        sigma = mp.sqrt(mp.mpc(v1 - abs(v2) + mp.mpf(1) / 4)) / 2
+        num = mp.mpc(1)
+        for z in (p + sigma, p - sigma):
+            num *= mp.gamma(0.5 - z - ik) * mp.gamma(0.5 + z - ik)
+        den = mp.gamma(-ik) * mp.gamma(1 - ik) * mp.gamma(0.5 - ik) ** 2
+        return complex(num / den)
+
+
+@pytest.mark.parametrize("v1, v2", [(2.0, 6.75), (1.0, 5.0), (12.0, 6.0)])
+def test_scattering_matches_gamma_closed_form(v1, v2):
+    grid = GridSpec(20.0, 201)
+    params = CouplingParams(v1, v2)
+    for k in (0.9, 1.06, 1.3, 2.5):
+        t = scattering(_pot(params), k, grid).transmission
+        ref = _gamma_transmission(v1, v2, k)
+        assert abs(t - ref) <= 2e-6 * abs(ref) * max(1.0, abs(ref)), (k, t, ref)
+
+
+def test_partner_scattering_matches_susy_relation():
+    # T_ext = T (ik + a - 1) / (ik - a + 1), from W(+-inf) = +-(a - 1)
+    grid = GridSpec(20.0, 201)
+    d = derive(PARAMS_REAL)
+    for signs in BRANCH_SIGNS:
+        br = solve_branch(d, *signs)
+        pot = lambda x, br=br: extended_potential(br, PARAMS_REAL, x)
+        for k in (0.9, 1.06, 1.3, 2.5):
+            t = scattering(pot, k, grid).transmission
+            ik = 1j * k
+            ref = _gamma_transmission(12.0, 6.0, k) * (ik + br.a - 1) / (ik - br.a + 1)
+            assert abs(t - ref) <= 2e-6 * abs(ref) * max(1.0, abs(ref)), (signs, k)
+
+
+def _dop853_jost(potential, k, half_width, xe):
+    """Independent reference: adaptive DOP853 from each wall, one scalar
+    potential call per right-hand-side evaluation."""
+    def rhs(t, y):
+        return [y[1], (complex(potential(t)) - k * k) * y[0]]
+
+    order = np.argsort(xe)
+    phase = np.exp(1j * k * half_width)
+    out = []
+    for wall, start in ((half_width, [phase, 1j * k * phase]),
+                        (-half_width, [phase, -1j * k * phase])):
+        ts = xe[order] if wall < 0 else xe[order][::-1]
+        sol = solve_ivp(rhs, (wall, -wall), start, t_eval=ts, method="DOP853",
+                        rtol=1e-13, atol=1e-13)
+        assert sol.success
+        y = sol.y if wall < 0 else sol.y[:, ::-1]
+        vals = np.empty_like(y)
+        vals[:, order] = y
+        out += [vals[0], vals[1]]
+    return out
+
+
+def test_jost_solutions_match_independent_integrator():
+    grid = GridSpec(20.0, 201)
+    xe = np.array([3.0, -2.0, 0.0, 7.5])
+    d = derive(PARAMS_REAL)
+    potentials = [_pot(PARAMS_REAL)] + [
+        (lambda x, br=solve_branch(d, *signs): extended_potential(br, PARAMS_REAL, x))
+        for signs in BRANCH_SIGNS]
+    for i, pot in enumerate(potentials):
+        got = jost_solutions(pot, 1.1, grid, xe)
+        ref = _dop853_jost(pot, 1.1, grid.half_width, xe)
+        for g, r in zip(got, ref):
+            assert np.max(np.abs(g - r)) <= 1e-9 * np.max(np.abs(r)), i
+
+
+def test_jost_solutions_unreachable_tolerance_raises():
+    with pytest.raises(ConvergenceError, match="k = 1"):
+        jost_solutions(_pot(PARAMS_REAL), 1.0, GridSpec(20.0, 201), [0.0],
+                       rtol=1e-17, atol=0.0)
+
+
+def test_jost_solutions_debug_record(caplog):
+    g = GridSpec(25.0, 1001)
+    with caplog.at_level(logging.DEBUG, logger="scarf_spectra"):
+        jost_solutions(_pot(PARAMS_COMPLEX), 1.0, g, [-5.0, 0.0, 5.0])
+    records = [r for r in caplog.records if r.name == "scarf_spectra"]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    k, steps, estimate, drift = records[0].args
+    assert k == 1.0 and steps > 0
+    assert 0.0 <= estimate < 1e-10
+    assert 0.0 <= drift < 1e-12
 
 
 # ---------------------------------------------------------------------------
