@@ -3,17 +3,21 @@
 Everything in this module treats the potential as an opaque callable
 ``V(x) -> complex array`` so it can cross-check the closed-form results
 without sharing any of their algebra.  The Hamiltonian is discretized on a
-uniform grid with Dirichlet walls; bound (localized) eigenpairs of the
-resulting complex non-Hermitian matrix are located by a dense coarse pass
-and polished by shifted inverse iteration on the full grid.  Scattering
-quantities come from the Jost solutions, the solutions of
-psi'' = (V - k^2) psi with plane-wave data on one wall of [-L, L].  They are
-propagated by a transfer-matrix kernel: fourth-order Magnus steps with two
-Gauss nodes each (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151),
+uniform grid with Dirichlet walls, a complex symmetric tridiagonal matrix.
+Its localized eigenvalues come from implicitly restarted Arnoldi in
+shift-invert mode (ARPACK; Lehoucq, Sorensen & Yang, ARPACK Users' Guide,
+SIAM 1998) about sigma = min Re V, with the tridiagonal H - sigma factored
+once, and are polished by shifted inverse iteration on the same grid; a
+bound from the numerical range of H tells when no lower level can be
+missing.  Scattering quantities come from the Jost solutions, the solutions
+of psi'' = (V - k^2) psi with plane-wave data on one wall of [-L, L].  They
+are propagated by a transfer-matrix kernel: fourth-order Magnus steps with
+two Gauss nodes each (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151),
 whose 2x2 exponentials have a closed form, multiplied by tree reduction on a
 grid that doubles until two Richardson extrapolations agree.  V is sampled
-in one vectorized call per segment and level; scipy.optimize is imported
-only by the |T| peak search.
+in one vectorized call per segment and level.  The |T| peak search is a
+golden-section search written here; scipy.sparse.linalg is imported only by
+the eigensolver, and scipy.optimize not at all.
 """
 
 from __future__ import annotations
@@ -69,6 +73,17 @@ _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 _BLOCK = 4096
 _MAX_STEPS = 1 << 17
 
+# golden-section ratio and its complement, as scipy.optimize's golden method
+_GOLDEN_R = 0.61803399
+_GOLDEN_C = 1.0 - _GOLDEN_R
+
+# discrete_spectrum: Arnoldi first asks for count + _FIRST_RITZ Ritz values and
+# doubles that up to _MAX_RITZ; it stops at a relative residual of _RITZ_TOL,
+# since inverse iteration polishes every Ritz value it uses
+_FIRST_RITZ = 16
+_MAX_RITZ = 128
+_RITZ_TOL = 1e-10
+
 
 def _edge_ratio(vec: np.ndarray, h: float) -> float:
     # h-independent localization measure: a bound state's envelope slope at the
@@ -87,88 +102,144 @@ def _matvec(diag: np.ndarray, off: float, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _polish(diag: np.ndarray, off: float, band: np.ndarray, theta: complex,
+            v: np.ndarray):
+    """Shifted inverse iteration from ``v`` with a complex-symmetric Rayleigh
+    quotient (transpose, no conjugation -- the discretized operator is complex
+    symmetric); returns (theta, v, converged)."""
+    for _ in range(60):
+        band[1, :] = diag - theta
+        try:
+            w_new = scipy.linalg.solve_banded((1, 1), band, v)
+        except scipy.linalg.LinAlgError:
+            theta += 1e-10 * (1.0 + abs(theta))
+            continue
+        if not np.all(np.isfinite(w_new)):
+            theta += 1e-10 * (1.0 + abs(theta))
+            continue
+        v = w_new / np.linalg.norm(w_new)
+        denom = np.dot(v, v)
+        if abs(denom) < 1e-300:
+            break
+        hv = _matvec(diag, off, v)
+        theta_new = np.dot(v, hv) / denom
+        resid = np.linalg.norm(hv - theta_new * v)
+        theta = theta_new
+        if resid < 1e-9 * max(1.0, abs(theta)):
+            return complex(theta), v, True
+    return complex(theta), v, False
+
+
+def _sorted_levels(levels: list) -> list:
+    """Distinct levels (closer than 1e-8 (1 + |z|) count once) sorted by Re;
+    a run of levels whose real parts agree within that tolerance is ordered by
+    Im, lowest first."""
+    unique: list = []
+    for z in sorted(levels, key=lambda z: (z.real, z.imag)):
+        if all(abs(z - u) > 1e-8 * (1.0 + abs(z)) for u in unique):
+            unique.append(z)
+    runs: list = []
+    for z in unique:
+        if runs and z.real - runs[-1][-1].real <= 1e-8 * (1.0 + abs(z)):
+            runs[-1].append(z)
+        else:
+            runs.append([z])
+    return [z for run in runs for z in sorted(run, key=lambda z: z.imag)]
+
+
 def discrete_spectrum(potential: Callable, grid: GridSpec, count: int,
-                      edge_tol: float = 5e-3, coarse_points: int = 501) -> list:
+                      edge_tol: float = 5e-3) -> list:
     """Lowest ``count`` localized eigenvalues of -d^2/dx^2 + V, sorted by Re.
 
-    Two stages: a dense eigensolve on a coarse subgrid yields candidate
-    (eigenvalue, eigenvector) seeds, filtered by the edge-localization
-    measure; each survivor is refined on the full grid by shifted inverse
-    iteration with a complex-symmetric Rayleigh quotient (transpose, no
-    conjugation -- the discretized operator is complex symmetric).
+    H is the second-difference Hamiltonian on the interior grid points, a
+    complex symmetric tridiagonal matrix.  With sigma = min Re V and
+    Y = max |Im V| over the samples, every eigenvalue lies in the numerical
+    range of H, so Re E > sigma and |Im E| <= Y.  Implicitly restarted
+    Arnoldi in shift-invert mode (ARPACK through ``scipy.sparse.linalg.eigs``,
+    with H - sigma factored once and a fixed start vector) gives the k Ritz
+    values nearest sigma.  In order of Re, each is polished by shifted inverse
+    iteration on the full grid (residual below 1e-9 max(1, |E|), fixed start
+    vector) and kept if its eigenvector passes the edge-localization test
+    ``_edge_ratio < edge_tol``, until the next Ritz value lies to the right of
+    the count-th level found.  Once ``count`` localized levels are found and
+    the farthest Ritz value lies beyond hypot(Re E_count - sigma, Y), no lower
+    level can be missing; otherwise k doubles, up to ``_MAX_RITZ``, and the
+    levels found are returned, possibly fewer than ``count`` (none for a
+    potential without localized states).  Levels whose real parts agree
+    within 1e-8 (1 + |E|) come lowest Im first.  Each call logs one DEBUG
+    record on the ``scarf_spectra`` logger: sigma, Y, each k tried, how many
+    Ritz values were polished, how many were discarded with their edge
+    ratios, and how many levels are returned.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    L = grid.half_width
-    m = min(coarse_points, grid.n_points)
-    if m % 2 == 0:
-        m -= 1
-    xc = np.linspace(-L, L, m)[1:-1]
-    hc = 2.0 * L / (m - 1)
-    vc = np.asarray(potential(xc), dtype=complex)
-    ac = (np.diag(vc + 2.0 / hc ** 2)
-          + np.diag(np.full(len(xc) - 1, -1.0 / hc ** 2), 1)
-          + np.diag(np.full(len(xc) - 1, -1.0 / hc ** 2), -1))
-    w, vr = scipy.linalg.eig(ac)
-    order = np.lexsort((w.imag, w.real))
-    seeds = []
-    for idx in order:
-        if _edge_ratio(vr[:, idx], hc) < edge_tol:
-            seeds.append((w[idx], vr[:, idx]))
-        if len(seeds) >= count + 4:
-            break
-    if not seeds:
-        return []
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
     xf = grid.points()[1:-1]
+    n = len(xf)
     hf = grid.h
     vf = np.asarray(potential(xf), dtype=complex)
     diag = vf + 2.0 / hf ** 2
     off = -1.0 / hf ** 2
-    band = np.zeros((3, len(xf)), dtype=complex)
+    sigma = float(np.min(vf.real))
+    y = float(np.max(np.abs(vf.imag)))
+    sub = np.full(n - 1, off, dtype=complex)
+    lu = scipy.linalg.lapack.zgttrf(sub, diag - sigma, sub)[:-1]
+    shape = (n, n)
+    h_op = LinearOperator(shape, matvec=lambda v: _matvec(diag, off, v.ravel()),
+                          dtype=complex)
+    inv_op = LinearOperator(
+        shape, matvec=lambda v: scipy.linalg.lapack.zgttrs(*lu, v)[0], dtype=complex)
+    start = np.array([1.0, 1j]) @ np.random.default_rng(0).standard_normal((2, n))
+    start /= np.linalg.norm(start)
+    band = np.zeros((3, n), dtype=complex)
     band[0, 1:] = off
     band[2, :-1] = off
 
-    refined = []
-    for theta, vec_c in seeds:
-        v = (np.interp(xf, xc, vec_c.real) + 1j * np.interp(xf, xc, vec_c.imag))
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            continue
-        v /= nrm
-        ok = False
-        for _ in range(60):
-            band[1, :] = diag - theta
-            try:
-                w_new = scipy.linalg.solve_banded((1, 1), band, v)
-            except scipy.linalg.LinAlgError:
-                theta += 1e-10 * (1.0 + abs(theta))
+    cap = min(_MAX_RITZ, n - 2)
+    k = min(count + _FIRST_RITZ, cap)
+    tried = []
+    while True:
+        tried.append(k)
+        try:
+            ritz = eigs(h_op, k=k, sigma=sigma, OPinv=inv_op, v0=start,
+                        tol=_RITZ_TOL, return_eigenvectors=False)
+        except ArpackNoConvergence as exc:
+            raise ConvergenceError(f"shift-invert Arnoldi at sigma = {sigma:.6g} "
+                                   f"did not converge with k = {k}") from exc
+        # polish in order of Re until the rest cannot be among the lowest count
+        levels, ratios, polished, stuck = [], [], 0, 0
+        for theta in sorted(ritz, key=lambda z: (z.real, z.imag)):
+            if len(levels) >= count:
+                last = levels[count - 1]
+                if theta.real > last.real + 1e-6 * (1.0 + abs(last)):
+                    break
+            polished += 1
+            theta, vec, ok = _polish(diag, off, band, theta, start)
+            if not ok:
+                stuck += 1
                 continue
-            if not np.all(np.isfinite(w_new)):
-                theta += 1e-10 * (1.0 + abs(theta))
-                continue
-            v = w_new / np.linalg.norm(w_new)
-            denom = np.dot(v, v)
-            if abs(denom) < 1e-300:
+            ratio = _edge_ratio(vec, hf)
+            if ratio < edge_tol:
+                levels = _sorted_levels(levels + [theta])
+            else:
+                ratios.append(ratio)
+        if stuck == polished:
+            raise ConvergenceError(f"inverse iteration failed to refine any of the "
+                                   f"{k} Ritz values near sigma = {sigma:.6g}")
+        if len(levels) >= count:
+            last = levels[count - 1]
+            if np.max(np.abs(ritz - sigma)) > math.hypot(last.real - sigma, y):
                 break
-            hv = _matvec(diag, off, v)
-            theta_new = np.dot(v, hv) / denom
-            resid = np.linalg.norm(hv - theta_new * v)
-            theta = theta_new
-            if resid < 1e-9 * max(1.0, abs(theta)):
-                ok = True
-                break
-        if ok and _edge_ratio(v, hf) < edge_tol:
-            refined.append(complex(theta))
-
-    if not refined:
-        raise ConvergenceError("inverse iteration failed to refine any candidate")
-    refined.sort(key=lambda z: (z.real, z.imag))
-    unique: list = []
-    for z in refined:
-        if all(abs(z - u) > 1e-8 * (1.0 + abs(z)) for u in unique):
-            unique.append(z)
-    return unique[:count]
+        if k == cap:
+            break
+        k = min(2 * k, cap)
+    levels = levels[:count]
+    _log.debug("discrete_spectrum: sigma = %.6g, Y = %.6g, k tried %s, "
+               "%d Ritz values polished (%d did not converge), %d discarded "
+               "with edge ratios %s, %d returned", sigma, y, tried, polished,
+               stuck, len(ratios), ["%.3g" % r for r in ratios], len(levels))
+    return levels
 
 
 @dataclass(frozen=True)
@@ -389,6 +460,38 @@ class ScanPoint:
     wronskian_ratio: float
 
 
+def _golden_max(f: Callable, x0: float, x1: float, x3: float, f1: float,
+                tol: float, relative: bool) -> float:
+    """Golden-section search for the maximum of f in the bracket x0 < x1 < x3,
+    where f(x1) = f1 is not below f at the ends.
+
+    The probes are those of the ``golden`` method of scipy.optimize (its ratio
+    constant, its first inner point, its update order).  The search stops
+    when |x3 - x0| <= tol (|x1| + |x2|) if ``relative``, as that method does,
+    else when |x3 - x0| <= tol, or after 5000 steps; it returns the better
+    inner point.
+    """
+    if abs(x3 - x1) > abs(x1 - x0):
+        x2 = x1 + _GOLDEN_C * (x3 - x1)
+        f2 = f(x2)
+    else:
+        x2, f2 = x1, f1
+        x1 = x2 - _GOLDEN_C * (x2 - x0)
+        f1 = f(x1)
+    for _ in range(5000):
+        if abs(x3 - x0) <= tol * (abs(x1) + abs(x2) if relative else 1.0):
+            break
+        if f2 > f1:
+            x0, x1, f1 = x1, x2, f2
+            x2 = _GOLDEN_R * x1 + _GOLDEN_C * x3
+            f2 = f(x2)
+        else:
+            x3, x2, f2 = x2, x1, f1
+            x1 = _GOLDEN_R * x2 + _GOLDEN_C * x0
+            f1 = f(x1)
+    return x1 if f1 > f2 else x2
+
+
 def _peak_in_window(potential: Callable, k_window, grid: GridSpec,
                     coarse_steps: int, xtol: float):
     k_lo, k_hi = float(k_window[0]), float(k_window[1])
@@ -400,22 +503,18 @@ def _peak_in_window(potential: Callable, k_window, grid: GridSpec,
     def height(k: float) -> float:
         return abs(scattering(potential, k, grid).transmission)
 
-    import scipy.optimize
-
     ks = np.linspace(k_lo, k_hi, coarse_steps)
     hs = np.array([height(k) for k in ks])
     i = int(np.argmax(hs))
     lo = ks[max(i - 1, 0)]
     hi = ks[min(i + 1, coarse_steps - 1)]
     if i == 0 or i == coarse_steps - 1:
-        res = scipy.optimize.minimize_scalar(
-            lambda k: -height(k), bounds=(lo, hi), method="bounded",
-            options={"xatol": xtol})
+        # peak on a window edge: search the edge interval to an absolute xtol
+        mid = lo + _GOLDEN_C * (hi - lo)
+        k = _golden_max(height, lo, mid, hi, height(mid), xtol, relative=False)
     else:
-        res = scipy.optimize.minimize_scalar(
-            lambda k: -height(k), bracket=(lo, ks[i], hi), method="golden",
-            options={"xtol": xtol})
-    return float(np.clip(res.x, k_lo, k_hi))
+        k = _golden_max(height, lo, ks[i], hi, hs[i], xtol, relative=True)
+    return float(np.clip(k, k_lo, k_hi))
 
 
 def singularity_scan(params_curve: Sequence, k_window, grid: GridSpec,

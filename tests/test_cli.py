@@ -208,6 +208,17 @@ def test_verify_command_passes(capsys):
     assert any(n.startswith("factorization-") for n in names)
 
 
+def test_verify_near_exceptional_point_passes(capsys):
+    # (12, 12.249) sits just inside the real regime: its two upper levels are
+    # nearly degenerate, and the solver must resolve both
+    code, out, _ = _run(capsys, ["verify", "--v1", "12", "--v2", "12.249"])
+    doc = json.loads(out)
+    row = {c["name"]: c for c in doc["results"]["checks"]}["analytic-vs-numeric-levels"]
+    assert row["note"] == "4 levels"
+    assert row["passed"] and row["value"] < row["threshold"] == 1e-3
+    assert code == 0 and doc["results"]["all_passed"] is True
+
+
 def test_verify_nan_residual_fails_its_check(capsys, monkeypatch):
     # a NaN residual that is not the first one still fails its row
     levels = spectrum(derive(CouplingParams(12.0, 6.0)))
@@ -221,6 +232,17 @@ def test_verify_nan_residual_fails_its_check(capsys, monkeypatch):
     row = checks.pop("wavefunction-residuals")
     assert row["passed"] is False and row["value"] == "nan"
     assert all(c["passed"] for c in checks.values())
+
+
+def test_cli_import_leaves_optimize_and_sparse_unloaded():
+    # the CLI's start-up time and memory depend on these imports staying lazy
+    code = ("import sys, scarf_spectra.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse.linalg') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point_subprocess():

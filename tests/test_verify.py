@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import scarf_spectra.verify as verify_module
+
 from scarf_spectra import (BRANCH_SIGNS, ConvergenceError, CouplingParams,
                            DomainError, GridSpec, REFERENCE_GRID, bound_state,
                            complex_spectrum, derive, discrete_spectrum,
@@ -90,6 +92,94 @@ def test_discrete_spectrum_grid_convergence():
         errs.append(abs(ev[0].real - e0))
     assert 3.8 < errs[0] / errs[1] < 4.2
     assert 3.8 < errs[1] / errs[2] < 4.2
+
+
+def test_discrete_spectrum_deep_well_finds_every_level():
+    # (400, 100) has 23 levels; a coarse-grid seeding used to lose six of them
+    params = CouplingParams(400.0, 100.0)
+    analytic = sorted((lv.energy for lv in real_spectrum(derive(params))),
+                      key=lambda z: z.real)
+    got = discrete_spectrum(_pot(params), REFERENCE_GRID, 23)
+    assert len(got) == 23
+    assert all(abs(a - b) > 1e-8 * (1 + abs(a)) for i, a in enumerate(got)
+               for b in got[:i])
+    for num, ana in zip(got[:10], analytic[:10]):
+        assert abs(num - ana) < 2e-3 * (1 + abs(ana))
+
+
+def test_discrete_spectrum_finds_a_lower_level_far_from_the_shift(monkeypatch):
+    # two wells: the real one holds sigma = min Re V = -30, the complex one a
+    # level at -11.05 - 36.33i.  That level lies below the real level at -9 in
+    # Re, but farther from sigma than the real levels at -9, -4 and -1, so the
+    # first four Ritz values miss it and k must grow until none can hide.
+    def pot(x):
+        x = np.asarray(x, dtype=float)
+        return -30.0 / np.cosh(x + 8.0) ** 2 - (16.0 + 40.0j) / np.cosh(x - 8.0) ** 2
+    monkeypatch.setattr(verify_module, "_FIRST_RITZ", 0)
+    got = discrete_spectrum(pot, REFERENCE_GRID, 4)
+    assert [round(z.real) for z in got] == [-25, -16, -11, -9]
+    assert got[2].imag == pytest.approx(-36.33, abs=0.01)
+
+
+def _debug_record(caplog, run):
+    with caplog.at_level(logging.DEBUG, logger="scarf_spectra"):
+        result = run()
+    records = [r for r in caplog.records
+               if r.name == "scarf_spectra" and r.msg.startswith("discrete_spectrum")]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    return result, records[0].args
+
+
+def test_discrete_spectrum_unresolved_levels_stop_at_cap(caplog):
+    # the n = 2 pair of (8, -20) is too wide for the box and fails the edge
+    # test: k doubles up to the cap and only the localized levels come back
+    params = CouplingParams(8.0, -20.0)
+    analytic = [lv.energy for lv in complex_spectrum(derive(params))]
+    got, (sigma, y, tried, polished, stuck, discarded, ratios, returned) = _debug_record(
+        caplog, lambda: discrete_spectrum(_pot(params), REFERENCE_GRID, len(analytic)))
+    assert len(analytic) == 6 and len(got) == returned == 4
+    for z in got:
+        assert min(abs(z - e) for e in analytic) < 1e-3 * (1 + abs(z))
+    assert tried == sorted(tried) and tried[-1] == verify_module._MAX_RITZ
+    assert all(k <= verify_module._MAX_RITZ for k in tried)
+    assert sigma == pytest.approx(-8.0) and y == pytest.approx(10.0, rel=1e-4)
+    assert discarded == len(ratios) > 0 and all(float(r) >= 5e-3 for r in ratios)
+
+
+def test_discrete_spectrum_debug_record(caplog):
+    got, (sigma, y, tried, polished, stuck, discarded, ratios, returned) = _debug_record(
+        caplog, lambda: discrete_spectrum(_pot(PARAMS_REAL), REFERENCE_GRID, 4))
+    assert len(got) == returned == 4
+    assert sigma == pytest.approx(-12.0) and y == pytest.approx(3.0, rel=1e-4)
+    assert len(tried) == 1 and tried[0] >= 5
+    assert polished >= 4 and stuck == 0 and discarded == len(ratios)
+
+
+def test_discrete_spectrum_is_deterministic():
+    for params, count in ((PARAMS_REAL, 4), (PARAMS_COMPLEX, 2),
+                          (CouplingParams(12.0, 12.249), 4)):
+        first = discrete_spectrum(_pot(params), REFERENCE_GRID, count)
+        assert discrete_spectrum(_pot(params), REFERENCE_GRID, count) == first
+
+
+def test_discrete_spectrum_pairs_ordered_by_imaginary_part():
+    # the real parts of a conjugate pair agree to roundoff: lowest Im first
+    for params in (PARAMS_COMPLEX, CouplingParams(2.0, 6.75), CouplingParams(5.0, 12.0)):
+        got = discrete_spectrum(_pot(params), REFERENCE_GRID, 2)
+        assert got[0].real == pytest.approx(got[1].real, rel=1e-10)
+        assert got[0].imag < 0.0 < got[1].imag
+        lowest = discrete_spectrum(_pot(params), REFERENCE_GRID, 1)
+        assert len(lowest) == 1 and abs(lowest[0] - got[0]) < 1e-9 * abs(got[0])
+
+
+def test_discrete_spectrum_arpack_failure_is_a_convergence_error(monkeypatch):
+    import scipy.sparse.linalg
+
+    def fail(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", fail)
+    with pytest.raises(ConvergenceError, match=r"sigma = -12.*k = \d+"):
+        discrete_spectrum(_pot(PARAMS_REAL), REFERENCE_GRID, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +355,29 @@ def test_jost_solutions_debug_record(caplog):
 # ---------------------------------------------------------------------------
 # singularity scan
 # ---------------------------------------------------------------------------
+
+def test_golden_max_follows_scipy_golden():
+    import scipy.optimize
+
+    def peak(k):
+        return 1.0 / (1e-4 + (k - 1.0606601) ** 2)
+    for lo, mid, hi, xtol in ((0.9, 1.05, 1.2, 1e-6), (0.9, 1.15, 1.2, 1e-6),
+                              (1.0, 1.07, 1.1, 1e-8), (0.5, 0.6, 2.0, 1e-4)):
+        ref = scipy.optimize.minimize_scalar(
+            lambda k: -peak(k), bracket=(lo, mid, hi), method="golden",
+            options={"xtol": xtol}).x
+        got = verify_module._golden_max(peak, lo, mid, hi, peak(mid), xtol, relative=True)
+        assert got == ref
+
+
+def test_golden_max_absolute_tolerance():
+    def slope(k):
+        return k
+    for lo, hi, xtol in ((1.0, 1.2, 1e-6), (0.9, 1.3, 1e-9)):
+        mid = lo + verify_module._GOLDEN_C * (hi - lo)
+        got = verify_module._golden_max(slope, lo, mid, hi, mid, xtol, relative=False)
+        assert hi - xtol <= got <= hi
+
 
 def test_singularity_scan_locus_vs_off_locus():
     grid = GridSpec(20.0, 1001)
