@@ -1,23 +1,23 @@
-"""Analytics-free numerical checks: grid eigensolver, scattering, residuals.
+"""Analytics-free numerical checks: eigensolver, scattering, residuals.
 
 Everything in this module treats the potential as an opaque callable
 ``V(x) -> complex array`` so it can cross-check the closed-form results
-without sharing any of their algebra.  The Hamiltonian is discretized on a
-uniform grid with Dirichlet walls, a complex symmetric tridiagonal matrix.
-Its localized eigenvalues come from implicitly restarted Arnoldi in
-shift-invert mode (ARPACK; Lehoucq, Sorensen & Yang, ARPACK Users' Guide,
-SIAM 1998) about sigma = min Re V, with the tridiagonal H - sigma factored
-once, and are polished by shifted inverse iteration on the same grid; a
-bound from the numerical range of H tells when no lower level can be
-missing.  Scattering quantities come from the Jost solutions, the solutions
-of psi'' = (V - k^2) psi with plane-wave data on one wall of [-L, L].  They
-are propagated by a transfer-matrix kernel: fourth-order Magnus steps with
-two Gauss nodes each (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151),
-whose 2x2 exponentials have a closed form, multiplied by tree reduction on a
-grid that doubles until two Richardson extrapolations agree.  V is sampled
-in one vectorized call per segment and level.  The |T| peak search is a
-golden-section search written here; scipy.sparse.linalg is imported only by
-the eigensolver, and scipy.optimize not at all.
+without sharing any of their algebra.  Both numeric paths take V as zero
+beyond ``GridSpec.half_width``.  Discrete levels come from Chebyshev
+collocation on the whole line, mapped by x = c xi / sqrt(1 - xi^2) with
+psi = 0 at xi = -1, 1 (Boyd, Chebyshev and Fourier Spectral Methods, Dover
+2001, ch. 17): one dense eigenvalue solve at degree N and one at 3N/2, with
+Boyd's drift test (ch. 7) keeping the eigenvalues that agree between them and
+a continuum test dropping the real non-negative ones; N grows while fewer
+levels than asked are resolved.  Scattering quantities come from the Jost
+solutions, the solutions of psi'' = (V - k^2) psi with plane-wave data on one
+wall of [-L, L].  They are propagated by a transfer-matrix kernel:
+fourth-order Magnus steps with two Gauss nodes each (Blanes, Casas, Oteo &
+Ros, Phys. Rep. 470 (2009) 151), whose 2x2 exponentials have a closed form,
+multiplied by tree reduction on a grid that doubles until two Richardson
+extrapolations agree.  V is sampled in one vectorized call per segment and
+level.  The |T| peak search is a golden-section search written here.  The
+module needs numpy only.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, DomainError
 
@@ -77,57 +76,13 @@ _MAX_STEPS = 1 << 17
 _GOLDEN_R = 0.61803399
 _GOLDEN_C = 1.0 - _GOLDEN_R
 
-# discrete_spectrum: Arnoldi first asks for count + _FIRST_RITZ Ritz values and
-# doubles that up to _MAX_RITZ; it stops at a relative residual of _RITZ_TOL,
-# since inverse iteration polishes every Ritz value it uses
-_FIRST_RITZ = 16
-_MAX_RITZ = 128
-_RITZ_TOL = 1e-10
-
-
-def _edge_ratio(vec: np.ndarray, h: float) -> float:
-    # h-independent localization measure: a bound state's envelope slope at the
-    # wall, relative to its peak.  Box modes score ~O(1/L); bound states are
-    # orders of magnitude below.
-    peak = np.max(np.abs(vec))
-    if peak == 0.0:
-        return np.inf
-    return max(abs(vec[0]), abs(vec[-1])) / (h * peak)
-
-
-def _matvec(diag: np.ndarray, off: float, v: np.ndarray) -> np.ndarray:
-    out = diag * v
-    out[:-1] += off * v[1:]
-    out[1:] += off * v[:-1]
-    return out
-
-
-def _polish(diag: np.ndarray, off: float, band: np.ndarray, theta: complex,
-            v: np.ndarray):
-    """Shifted inverse iteration from ``v`` with a complex-symmetric Rayleigh
-    quotient (transpose, no conjugation -- the discretized operator is complex
-    symmetric); returns (theta, v, converged)."""
-    for _ in range(60):
-        band[1, :] = diag - theta
-        try:
-            w_new = scipy.linalg.solve_banded((1, 1), band, v)
-        except scipy.linalg.LinAlgError:
-            theta += 1e-10 * (1.0 + abs(theta))
-            continue
-        if not np.all(np.isfinite(w_new)):
-            theta += 1e-10 * (1.0 + abs(theta))
-            continue
-        v = w_new / np.linalg.norm(w_new)
-        denom = np.dot(v, v)
-        if abs(denom) < 1e-300:
-            break
-        hv = _matvec(diag, off, v)
-        theta_new = np.dot(v, hv) / denom
-        resid = np.linalg.norm(hv - theta_new * v)
-        theta = theta_new
-        if resid < 1e-9 * max(1.0, abs(theta)):
-            return complex(theta), v, True
-    return complex(theta), v, False
+# discrete_spectrum: scale c of the map x = c xi / sqrt(1 - xi^2), first and
+# largest Chebyshev degree N (each step takes N to 3N/2), and the relative
+# tolerance of the drift and continuum tests
+_MAP_SCALE = 4.0
+_FIRST_DEGREE = 128
+_MAX_DEGREE = 432
+_DRIFT_TOL = 1e-7
 
 
 def _sorted_levels(levels: list) -> list:
@@ -147,98 +102,102 @@ def _sorted_levels(levels: list) -> list:
     return [z for run in runs for z in sorted(run, key=lambda z: z.imag)]
 
 
-def discrete_spectrum(potential: Callable, grid: GridSpec, count: int,
-                      edge_tol: float = 5e-3) -> list:
-    """Lowest ``count`` localized eigenvalues of -d^2/dx^2 + V, sorted by Re.
+def _cheb(n: int):
+    """Chebyshev points cos(pi j / n), j = 0..n, and the differentiation
+    matrix on them (Trefethen, Spectral Methods in MATLAB, SIAM 2000, cheb.m)."""
+    xi = np.cos(np.pi * np.arange(n + 1) / n)
+    c = np.ones(n + 1)
+    c[0] = c[-1] = 2.0
+    c *= (-1.0) ** np.arange(n + 1)
+    d = np.outer(c, 1.0 / c) / (xi[:, None] - xi[None, :] + np.eye(n + 1))
+    d -= np.diag(d.sum(axis=1))
+    return xi, d
 
-    H is the second-difference Hamiltonian on the interior grid points, a
-    complex symmetric tridiagonal matrix.  With sigma = min Re V and
-    Y = max |Im V| over the samples, every eigenvalue lies in the numerical
-    range of H, so Re E > sigma and |Im E| <= Y.  Implicitly restarted
-    Arnoldi in shift-invert mode (ARPACK through ``scipy.sparse.linalg.eigs``,
-    with H - sigma factored once and a fixed start vector) gives the k Ritz
-    values nearest sigma.  In order of Re, each is polished by shifted inverse
-    iteration on the full grid (residual below 1e-9 max(1, |E|), fixed start
-    vector) and kept if its eigenvector passes the edge-localization test
-    ``_edge_ratio < edge_tol``, until the next Ritz value lies to the right of
-    the count-th level found.  Once ``count`` localized levels are found and
-    the farthest Ritz value lies beyond hypot(Re E_count - sigma, Y), no lower
-    level can be missing; otherwise k doubles, up to ``_MAX_RITZ``, and the
-    levels found are returned, possibly fewer than ``count`` (none for a
-    potential without localized states).  Levels whose real parts agree
-    within 1e-8 (1 + |E|) come lowest Im first.  Each call logs one DEBUG
-    record on the ``scarf_spectra`` logger: sigma, Y, each k tried, how many
-    Ritz values were polished, how many were discarded with their edge
-    ratios, and how many levels are returned.
+
+def _mapped_eigvals(potential: Callable, half_width: float, n: int) -> np.ndarray:
+    """Eigenvalues of -d^2/dx^2 + V collocated at the n - 1 interior points of
+    the degree-n Chebyshev grid mapped to the whole line, with V = 0 beyond
+    ``half_width``."""
+    xi, d = _cheb(n)
+    gd = ((1.0 - xi ** 2) ** 1.5 / _MAP_SCALE)[:, None] * d       # d/dx
+    xi = xi[1:-1]
+    x = _MAP_SCALE * xi / np.sqrt(1.0 - xi ** 2)
+    box = np.abs(x) <= half_width
+    v = np.zeros(n - 1, dtype=complex)
+    v[box] = np.asarray(potential(x[box]), dtype=complex)
+    if not np.all(np.isfinite(v)):
+        bad = x[box][~np.isfinite(v[box])][0]
+        raise DomainError(f"potential is not finite at x = {bad:.6g}")
+    return np.linalg.eigvals(np.diag(v) - gd[1:-1] @ gd[:, 1:-1])
+
+
+def _drift_resolved(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """Boyd's drift test: True for each eigenvalue E of ``fine`` that lies
+    within tol = ``_DRIFT_TOL`` (1 + |E|) of an eigenvalue of ``coarse``, or
+    whose cluster does.  The cluster of E is the set of eigenvalues within
+    sqrt(``_DRIFT_TOL``) (1 + |E|) of it, in ``fine`` and in ``coarse``; it
+    passes when both sets have as many members and their means agree within
+    tol.  A defective (Jordan) pair splits by about the square root of the
+    discretization error, in a direction that changes with N, while its mean
+    moves no more than a simple eigenvalue does.
+    """
+    scale = 1.0 + np.abs(fine)
+    dist = np.abs(fine[:, None] - coarse[None, :])
+    simple = np.min(dist, axis=1) <= _DRIFT_TOL * scale
+    radius = math.sqrt(_DRIFT_TOL) * scale[:, None]
+    in_fine = np.abs(fine[:, None] - fine[None, :]) <= radius
+    in_coarse = dist <= radius
+    members = in_fine.sum(axis=1)
+    gap = np.abs(in_fine @ fine - in_coarse @ coarse) / members
+    return simple | ((in_coarse.sum(axis=1) == members) & (gap <= _DRIFT_TOL * scale))
+
+
+def discrete_spectrum(potential: Callable, grid: GridSpec, count: int) -> list:
+    """Lowest ``count`` discrete eigenvalues of -d^2/dx^2 + V, sorted by Re.
+
+    H is collocated at Chebyshev points xi on the map x = c xi / sqrt(1 - xi^2)
+    of the whole line (c = ``_MAP_SCALE``; Boyd, Chebyshev and Fourier
+    Spectral Methods, Dover 2001, ch. 17): d/dx = g d/dxi with
+    g = (1 - xi^2)^(3/2) / c, and psi = 0 at xi = -1, 1, that is at x = -inf,
+    inf.  V is sampled at the nodes with |x| <= ``grid.half_width`` and taken
+    as 0 beyond, the support ``jost_solutions`` assumes too
+    (``grid.n_points`` is not used); a sample that is not finite raises
+    ``DomainError``.  One dense ``numpy.linalg.eigvals`` is taken at degree N
+    and one at 3N/2, from N = ``_FIRST_DEGREE``.  Boyd's drift test (ch. 7,
+    ``_drift_resolved``) keeps the eigenvalues of the larger matrix that lie
+    within 1e-7 (1 + |E|) of an eigenvalue of the smaller one, or whose
+    cluster mean does, as for the doubled level of a partner potential; of
+    those, the ones within the same distance of the continuum [0, inf) are
+    dropped, since a real E >= 0 is no bound state of a decaying V.  While
+    fewer than ``count`` remain, N grows by 3/2, reusing the last solve, up to
+    ``_MAX_DEGREE``; then the levels found are returned, possibly fewer than
+    ``count`` (none for a potential without bound states).  Levels whose real
+    parts agree within 1e-8 (1 + |E|) come lowest Im first.  Each call logs
+    one DEBUG record on the ``scarf_spectra`` logger: each N tried (against
+    2N/3), how many eigenvalues of the last N were kept, how many were
+    rejected by the drift test and how many by the continuum test, and how
+    many levels are returned.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
-
-    xf = grid.points()[1:-1]
-    n = len(xf)
-    hf = grid.h
-    vf = np.asarray(potential(xf), dtype=complex)
-    diag = vf + 2.0 / hf ** 2
-    off = -1.0 / hf ** 2
-    sigma = float(np.min(vf.real))
-    y = float(np.max(np.abs(vf.imag)))
-    sub = np.full(n - 1, off, dtype=complex)
-    lu = scipy.linalg.lapack.zgttrf(sub, diag - sigma, sub)[:-1]
-    shape = (n, n)
-    h_op = LinearOperator(shape, matvec=lambda v: _matvec(diag, off, v.ravel()),
-                          dtype=complex)
-    inv_op = LinearOperator(
-        shape, matvec=lambda v: scipy.linalg.lapack.zgttrs(*lu, v)[0], dtype=complex)
-    start = np.array([1.0, 1j]) @ np.random.default_rng(0).standard_normal((2, n))
-    start /= np.linalg.norm(start)
-    band = np.zeros((3, n), dtype=complex)
-    band[0, 1:] = off
-    band[2, :-1] = off
-
-    cap = min(_MAX_RITZ, n - 2)
-    k = min(count + _FIRST_RITZ, cap)
+    n = _FIRST_DEGREE
+    coarse = _mapped_eigvals(potential, grid.half_width, n)
     tried = []
     while True:
-        tried.append(k)
-        try:
-            ritz = eigs(h_op, k=k, sigma=sigma, OPinv=inv_op, v0=start,
-                        tol=_RITZ_TOL, return_eigenvectors=False)
-        except ArpackNoConvergence as exc:
-            raise ConvergenceError(f"shift-invert Arnoldi at sigma = {sigma:.6g} "
-                                   f"did not converge with k = {k}") from exc
-        # polish in order of Re until the rest cannot be among the lowest count
-        levels, ratios, polished, stuck = [], [], 0, 0
-        for theta in sorted(ritz, key=lambda z: (z.real, z.imag)):
-            if len(levels) >= count:
-                last = levels[count - 1]
-                if theta.real > last.real + 1e-6 * (1.0 + abs(last)):
-                    break
-            polished += 1
-            theta, vec, ok = _polish(diag, off, band, theta, start)
-            if not ok:
-                stuck += 1
-                continue
-            ratio = _edge_ratio(vec, hf)
-            if ratio < edge_tol:
-                levels = _sorted_levels(levels + [theta])
-            else:
-                ratios.append(ratio)
-        if stuck == polished:
-            raise ConvergenceError(f"inverse iteration failed to refine any of the "
-                                   f"{k} Ritz values near sigma = {sigma:.6g}")
-        if len(levels) >= count:
-            last = levels[count - 1]
-            if np.max(np.abs(ritz - sigma)) > math.hypot(last.real - sigma, y):
-                break
-        if k == cap:
+        n = 3 * n // 2
+        tried.append(n)
+        fine = _mapped_eigvals(potential, grid.half_width, n)
+        resolved = _drift_resolved(coarse, fine)
+        to_continuum = np.where(fine.real >= 0.0, np.abs(fine.imag), np.abs(fine))
+        continuum = resolved & (to_continuum <= _DRIFT_TOL * (1.0 + np.abs(fine)))
+        kept = fine[resolved & ~continuum]
+        if len(kept) >= count or n >= _MAX_DEGREE:
             break
-        k = min(2 * k, cap)
-    levels = levels[:count]
-    _log.debug("discrete_spectrum: sigma = %.6g, Y = %.6g, k tried %s, "
-               "%d Ritz values polished (%d did not converge), %d discarded "
-               "with edge ratios %s, %d returned", sigma, y, tried, polished,
-               stuck, len(ratios), ["%.3g" % r for r in ratios], len(levels))
+        coarse = fine
+    levels = _sorted_levels([complex(z) for z in kept])[:count]
+    _log.debug("discrete_spectrum: N tried %s, %d eigenvalues kept, %d rejected "
+               "by drift, %d on the continuum, %d returned", tried, len(kept),
+               int(np.sum(~resolved)), int(np.sum(continuum)), len(levels))
     return levels
 
 

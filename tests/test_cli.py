@@ -219,6 +219,18 @@ def test_verify_near_exceptional_point_passes(capsys):
     assert code == 0 and doc["results"]["all_passed"] is True
 
 
+@pytest.mark.parametrize("v1, v2", [(100.0, 40.0), (400.0, 100.0), (13.3525, 7.1)])
+def test_verify_passes_where_a_box_solver_failed(capsys, v1, v2):
+    # second-order error failed (100, 40); the shallow levels of (400, 100)
+    # and the level at E = -0.0025 of (13.3525, 7.1) reach past a box of
+    # half-width 20
+    code, out, _ = _run(capsys, ["verify", "--v1", str(v1), "--v2", str(v2)])
+    doc = json.loads(out)
+    row = {c["name"]: c for c in doc["results"]["checks"]}["analytic-vs-numeric-levels"]
+    assert row["passed"] and row["value"] < 1e-6
+    assert code == 0 and doc["results"]["all_passed"] is True
+
+
 def test_verify_nan_residual_fails_its_check(capsys, monkeypatch):
     # a NaN residual that is not the first one still fails its row
     levels = spectrum(derive(CouplingParams(12.0, 6.0)))
@@ -235,14 +247,22 @@ def test_verify_nan_residual_fails_its_check(capsys, monkeypatch):
 
 
 def test_cli_import_leaves_optimize_and_sparse_unloaded():
-    # the CLI's start-up time and memory depend on these imports staying lazy
-    code = ("import sys, scarf_spectra.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse.linalg') "
-            "if m in sys.modules))")
+    # the package depends on numpy alone: no scipy module at all (so neither
+    # scipy.optimize nor scipy.sparse.linalg) is loaded by the CLI import,
+    # nor by a verify run in the same process
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import scarf_spectra.cli as cli",
+        "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "print(scipy())",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = cli.main(['verify', '--v1', '12', '--v2', '6'])",
+        "print(code, scipy())",
+    ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "0 []"]
 
 
 def test_module_entry_point_subprocess():
