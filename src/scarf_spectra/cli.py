@@ -9,10 +9,10 @@ complex numbers as {"re", "im"}.  Exit codes: 0 success, 2 bad arguments,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,22 +34,10 @@ _EPSILON_FLAGS = {"+": 1, "-": -1}
 _BRANCH_FLAGS = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}
 _BRANCH_LABELS = {signs: label for label, signs in _BRANCH_FLAGS.items()}
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    v1: float
-    v2: float
-    n: Optional[int] = None
-    epsilon: Optional[str] = None
-    branch: Optional[str] = None
-    domain: float = 20.0
-    points: Optional[int] = None
-    k_min: Optional[float] = None
-    k_max: Optional[float] = None
-    k_steps: Optional[int] = None
-    output_format: str = "json"
-    output_path: Optional[str] = None
+# keys of the "inputs" echo, in order; build_parser gives a command that lacks
+# one of these flags a fixed value for it
+_INPUT_KEYS = ("command", "v1", "v2", "n", "epsilon", "branch", "domain", "points",
+               "k_min", "k_max", "k_steps", "format")
 
 
 # ----------------------------------------------------------------------------
@@ -125,15 +113,6 @@ def _emit_error(exc: BaseException):
     sys.stderr.write(_dumps(doc) + "\n")
 
 
-def _inputs(cfg: RunConfig) -> dict:
-    return {
-        "command": cfg.command, "v1": cfg.v1, "v2": cfg.v2, "n": cfg.n,
-        "epsilon": cfg.epsilon, "branch": cfg.branch, "domain": cfg.domain,
-        "points": cfg.points, "k_min": cfg.k_min, "k_max": cfg.k_max,
-        "k_steps": cfg.k_steps, "format": cfg.output_format,
-    }
-
-
 def _level_json(lv) -> dict:
     rec = {"n": lv.n, "epsilon": lv.epsilon, "origin": lv.origin,
            "energy": complex(lv.energy)}
@@ -147,8 +126,8 @@ def _level_json(lv) -> dict:
 # commands
 # ----------------------------------------------------------------------------
 
-def _cmd_spectrum(cfg: RunConfig):
-    d = derive(CouplingParams(cfg.v1, cfg.v2))
+def _cmd_spectrum(args: argparse.Namespace):
+    d = derive(CouplingParams(args.v1, args.v2))
     levels = spectrum(d)
     results = {
         "regime": d.regime.value,
@@ -158,20 +137,20 @@ def _cmd_spectrum(cfg: RunConfig):
     return results, None
 
 
-def _cmd_wavefunction(cfg: RunConfig):
-    d = derive(CouplingParams(cfg.v1, cfg.v2))
-    eps = _EPSILON_FLAGS[cfg.epsilon]
+def _cmd_wavefunction(args: argparse.Namespace):
+    d = derive(CouplingParams(args.v1, args.v2))
+    eps = _EPSILON_FLAGS[args.epsilon]
     target = None
     for lv in spectrum(d):
-        if lv.n == cfg.n and lv.epsilon == eps:
+        if lv.n == args.n and lv.epsilon == eps:
             target = lv
             break
     if target is None:
         raise DomainError(
-            f"no bound level n={cfg.n}, epsilon={cfg.epsilon} for these couplings")
-    xs = np.linspace(-cfg.domain, cfg.domain, cfg.points or 401)
+            f"no bound level n={args.n}, epsilon={args.epsilon} for these couplings")
+    xs = np.linspace(-args.domain, args.domain, args.points or 401)
     vals = bound_state(target, xs)
-    if cfg.output_format == "csv":
+    if args.format == "csv":
         rows = [(x, v.real, v.imag, abs(v)) for x, v in zip(xs, vals)]
         return None, ("x,psi_re,psi_im,psi_abs", rows)
     results = {
@@ -184,22 +163,22 @@ def _cmd_wavefunction(cfg: RunConfig):
     return results, None
 
 
-def _cmd_singularity(cfg: RunConfig):
-    d = derive(CouplingParams(cfg.v1, cfg.v2))
+def _cmd_singularity(args: argparse.Namespace):
+    d = derive(CouplingParams(args.v1, args.v2))
     rep = detect_singularity(d)
     results = {"report": {
         "is_singular": rep.is_singular, "n_star": rep.n_star,
         "e_star": rep.e_star, "tolerance_used": rep.tolerance_used,
         "note": rep.note,
     }}
-    if cfg.n is not None:
-        v1_cap = 2.0 * cfg.n ** 2 + 2.0 * cfg.n + 0.25
+    if args.n is not None:
+        v1_cap = 2.0 * args.n ** 2 + 2.0 * args.n + 0.25
         points = [
             {"v1": pt.v1, "v2": pt.v2, "in_complex_regime": pt.in_complex_regime}
-            for pt in singularity_locus(cfg.n, (v1_cap / 10.0, 1.2 * v1_cap),
-                                        cfg.points or 21)
+            for pt in singularity_locus(args.n, (v1_cap / 10.0, 1.2 * v1_cap),
+                                        args.points or 21)
         ]
-        results["locus"] = {"n": cfg.n, "points": points}
+        results["locus"] = {"n": args.n, "points": points}
     return results, None
 
 
@@ -225,12 +204,12 @@ def _branch_json(branch: PartnerBranch, d, params: CouplingParams,
     }
 
 
-def _cmd_partner(cfg: RunConfig):
-    params = CouplingParams(cfg.v1, cfg.v2)
+def _cmd_partner(args: argparse.Namespace):
+    params = CouplingParams(args.v1, args.v2)
     d = derive(params)
-    xs = np.linspace(-cfg.domain, cfg.domain, cfg.points or 201)
-    if cfg.branch is not None:
-        signs = [_BRANCH_FLAGS[cfg.branch]]
+    xs = np.linspace(-args.domain, args.domain, args.points or 201)
+    if args.branch is not None:
+        signs = [_BRANCH_FLAGS[args.branch]]
     else:
         signs = list(BRANCH_SIGNS)
     branches = []
@@ -238,7 +217,7 @@ def _cmd_partner(cfg: RunConfig):
         try:
             branch = solve_branch(d, ep, em)
         except SingularBranchError as exc:
-            if cfg.branch is not None:
+            if args.branch is not None:
                 raise
             branches.append({"branch": _BRANCH_LABELS[(ep, em)], "error": str(exc)})
             continue
@@ -246,16 +225,16 @@ def _cmd_partner(cfg: RunConfig):
     return {"branches": branches}, None
 
 
-def _cmd_scatter(cfg: RunConfig):
-    params = CouplingParams(cfg.v1, cfg.v2)
-    grid = GridSpec(cfg.domain, cfg.points or 201)
-    ks = np.linspace(cfg.k_min, cfg.k_max, cfg.k_steps)
+def _cmd_scatter(args: argparse.Namespace):
+    params = CouplingParams(args.v1, args.v2)
+    grid = GridSpec(args.domain, 201)           # scattering reads half_width only
+    ks = np.linspace(args.k_min, args.k_max, args.k_steps)
     rows = []
     for k in ks:
         sc = scattering(lambda x: potential_value(params, x), float(k), grid)
         t = sc.transmission
         rows.append((float(k), t.real, t.imag, abs(t), sc.wronskian_ratio))
-    if cfg.output_format == "csv":
+    if args.format == "csv":
         return None, ("k,t_re,t_im,t_abs,wronskian_ratio", rows)
     results = {
         "k": [r[0] for r in rows],
@@ -272,10 +251,10 @@ def _worst(values) -> float:
     return float(np.max(list(values)))
 
 
-def _verify_checks(cfg: RunConfig) -> list:
-    params = CouplingParams(cfg.v1, cfg.v2)
+def _verify_checks(args: argparse.Namespace) -> list:
+    params = CouplingParams(args.v1, args.v2)
     d = derive(params)
-    grid = GridSpec(cfg.domain, cfg.points or 4001)
+    grid = GridSpec(args.domain, args.points or 4001)
     xs = grid.points()
     potential = lambda x: potential_value(params, x)
     checks = []
@@ -309,8 +288,7 @@ def _verify_checks(cfg: RunConfig) -> list:
         numeric = discrete_spectrum(potential, grid, count=len(levels))
         gap = _worst(min((abs(complex(lv.energy) - z) for z in numeric), default=np.inf)
                      / (1.0 + abs(lv.energy)) for lv in levels)
-        record("analytic-vs-numeric-levels", gap,
-               max(1e-3, 10.0 * grid.h ** 2), note=f"{len(levels)} levels")
+        record("analytic-vs-numeric-levels", gap, 1e-3, note=f"{len(levels)} levels")
     else:
         skip("spectrum", "no bound levels")
 
@@ -329,23 +307,44 @@ def _verify_checks(cfg: RunConfig) -> list:
     return checks
 
 
-def _cmd_verify(cfg: RunConfig):
-    checks = _verify_checks(cfg)
+def _cmd_verify(args: argparse.Namespace):
+    checks = _verify_checks(args)
     results = {"all_passed": all(c["passed"] for c in checks), "checks": checks}
     return results, None
 
 
-_COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "wavefunction": _cmd_wavefunction,
-    "singularity": _cmd_singularity,
-    "partner": _cmd_partner,
-    "scatter": _cmd_scatter,
-    "verify": _cmd_verify,
+# every flag, declared once; _COMMANDS names the ones each command takes
+# besides --v1, --v2 and --out
+_FLAGS = {
+    "--v1": dict(type=float, required=True, help="well-depth coupling (> 0)"),
+    "--v2": dict(type=float, required=True, help="imaginary-part coupling (!= 0)"),
+    "--n": dict(type=int, help="level index"),
+    "--epsilon": dict(choices=tuple(_EPSILON_FLAGS), help="quasi-parity label"),
+    "--branch": dict(choices=tuple(_BRANCH_FLAGS),
+                     help="superpotential sign branch (default: all four)"),
+    "--k-min": dict(type=float, required=True),
+    "--k-max": dict(type=float, required=True),
+    "--k-steps": dict(type=int, default=50),
+    "--domain": dict(type=float, default=20.0, help="half-width L of the evaluation box"),
+    "--points": dict(type=int, help="grid / sample point count (command-specific default)"),
+    "--format": dict(choices=("json", "csv"), default="csv"),
+    "--out": dict(help="output file (default stdout)"),
 }
 
-_CSV_COMMANDS = {"wavefunction", "scatter"}
-_DEFAULT_FORMAT = {"wavefunction": "csv", "scatter": "csv"}
+_COMMANDS = {
+    "spectrum": (_cmd_spectrum, "analytic bound-state levels", ()),
+    "wavefunction": (_cmd_wavefunction, "sample one bound state on a grid",
+                     ("--n", "--epsilon", "--domain", "--points", "--format")),
+    "singularity": (_cmd_singularity,
+                    "spectral-singularity report (add --n for a locus scan)",
+                    ("--n", "--points")),
+    "partner": (_cmd_partner, "SUSY partner branches, spectra and extended potentials",
+                ("--branch", "--domain", "--points")),
+    "scatter": (_cmd_scatter, "transmission/reflection over a momentum range",
+                ("--k-min", "--k-max", "--k-steps", "--domain", "--format")),
+    "verify": (_cmd_verify, "analytic-vs-numeric cross-check suite",
+               ("--domain", "--points")),
+}
 
 
 # ----------------------------------------------------------------------------
@@ -357,89 +356,35 @@ def build_parser() -> argparse.ArgumentParser:
         prog="scarf-spectra",
         description="Spectra, wavefunctions and SUSY extensions of the "
                     "PT-symmetric Scarf II potential.")
+    # the values a command echoes for the input flags it does not take
+    parser.set_defaults(**{**dict.fromkeys(_INPUT_KEYS[3:]), "domain": 20.0, "format": "json"})
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *, needs_n=False, needs_k=False):
+    for name, (_, help_text, flags) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--v1", type=float, required=True,
-                        help="well-depth coupling (> 0)")
-        sp.add_argument("--v2", type=float, required=True,
-                        help="imaginary-part coupling (!= 0)")
-        if needs_n:
-            sp.add_argument("--n", type=int, help="level index")
-            sp.add_argument("--epsilon", choices=("+", "-"),
-                            help="quasi-parity label")
-        if name == "partner":
-            sp.add_argument("--branch", choices=tuple(_BRANCH_FLAGS),
-                            help="superpotential sign branch (default: all four)")
-        if needs_k:
-            sp.add_argument("--k-min", type=float, required=True)
-            sp.add_argument("--k-max", type=float, required=True)
-            sp.add_argument("--k-steps", type=int, default=50)
-        sp.add_argument("--domain", type=float, default=20.0,
-                        help="half-width L of the evaluation box")
-        sp.add_argument("--points", type=int,
-                        help="grid / sample point count (command-specific default)")
-        sp.add_argument("--format", choices=("json", "csv"), dest="output_format")
-        sp.add_argument("--out", dest="output_path", help="output file (default stdout)")
-        return sp
-
-    add("spectrum", "analytic bound-state levels")
-    add("wavefunction", "sample one bound state on a grid", needs_n=True)
-    add("singularity", "spectral-singularity report (add --n for a locus scan)",
-        needs_n=True)
-    add("partner", "SUSY partner branches, spectra and extended potentials")
-    add("scatter", "transmission/reflection over a momentum range", needs_k=True)
-    add("verify", "analytic-vs-numeric cross-check suite")
+        for flag in ("--v1", "--v2", *flags, "--out"):
+            sp.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
-def _config_from_args(args, parser) -> RunConfig:
-    fmt = getattr(args, "output_format", None)
-    if fmt is None:
-        fmt = _DEFAULT_FORMAT.get(args.command, "json")
-    if fmt == "csv" and args.command not in _CSV_COMMANDS:
-        parser.error(f"command {args.command!r} supports JSON output only")
-    if args.command == "wavefunction":
-        if getattr(args, "n", None) is None or getattr(args, "epsilon", None) is None:
-            parser.error("wavefunction requires --n and --epsilon")
-    if args.command == "scatter":
-        if args.k_steps < 1:
-            parser.error("--k-steps must be >= 1")
-        if not args.k_min < args.k_max:
-            parser.error("--k-min must be < --k-max")
-    points = getattr(args, "points", None)
-    if points is not None and points < 2:
-        parser.error("--points must be >= 2")
-    if args.domain <= 0:
-        parser.error("--domain must be positive")
-    return RunConfig(
-        command=args.command, v1=args.v1, v2=args.v2,
-        n=getattr(args, "n", None), epsilon=getattr(args, "epsilon", None),
-        branch=getattr(args, "branch", None), domain=args.domain, points=points,
-        k_min=getattr(args, "k_min", None), k_max=getattr(args, "k_max", None),
-        k_steps=getattr(args, "k_steps", None),
-        output_format=fmt, output_path=getattr(args, "output_path", None))
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute one configured command; returns the process exit status."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command; returns the process exit status."""
     try:
-        results, csv_payload = _COMMANDS[cfg.command](cfg)
+        results, csv_payload = _COMMANDS[args.command][0](args)
         if csv_payload is not None:
             header, rows = csv_payload
             text = _csv(header.split(","), rows)
         else:
-            doc = {"schema": SCHEMA, "inputs": _inputs(cfg), "results": results}
+            inputs = {key: getattr(args, key) for key in _INPUT_KEYS}
+            doc = {"schema": SCHEMA, "inputs": inputs, "results": results}
             text = _dumps(doc) + "\n"
-        _write_output(text, cfg.output_path)
+        _write_output(text, args.out)
     except (DomainError, ValueError) as exc:
         _emit_error(exc)
         return 3
     except ConvergenceError as exc:
         _emit_error(exc)
         return 4
-    if cfg.command == "verify" and not results["all_passed"]:
+    if args.command == "verify" and not results["all_passed"]:
         return 4
     return 0
 
@@ -465,8 +410,18 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(_join_sign_values(list(argv)))
-    cfg = _config_from_args(args, parser)
-    return run(cfg)
+    if args.command == "wavefunction" and (args.n is None or args.epsilon is None):
+        parser.error("wavefunction requires --n and --epsilon")
+    if args.command == "scatter":
+        if args.k_steps < 1:
+            parser.error("--k-steps must be >= 1")
+        if not -math.inf < args.k_min < args.k_max < math.inf:
+            parser.error("--k-min and --k-max must be finite, with --k-min < --k-max")
+    if args.points is not None and args.points < 2:
+        parser.error("--points must be >= 2")
+    if not 0.0 < args.domain < math.inf:
+        parser.error("--domain must be positive and finite")
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -53,6 +53,8 @@ from .wavefunctions import (JacobiSpec, bound_state, bound_state_derivative,
 BRANCH_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 _DEGENERACY_TOL = 1e-9
+# off-grid step of the central differences for W' in factorization_residuals
+_DIFF_STEP = 1e-5
 
 
 class PartnerKind(enum.Enum):
@@ -382,15 +384,15 @@ class PartnerSingularityReport:
     n1_anomaly: bool
 
 
-def partner_singularity(branch: PartnerBranch, d: DerivedParams,
-                        tol: float = 1e-9) -> PartnerSingularityReport:
-    """Singularity report for the extended potential of the (+, +) branch."""
+def partner_singularity(branch: PartnerBranch, d: DerivedParams) -> PartnerSingularityReport:
+    """Singularity report for the extended potential of the (+, +) branch,
+    at the tolerance of ``detect_singularity`` (``spectrum._SINGULARITY_TOL``)."""
     if branch.kind is not PartnerKind.COMPLEX_NON_PT:
         raise RegimeError("partner singularities require the complex-spectrum regime")
     if (branch.eps_plus, branch.eps_minus) != (1, 1):
         raise DomainError("partner singularity analysis covers the (+, +) branch")
     _check_branch_matches(branch, d)
-    base = detect_singularity(d, tol=tol)
+    base = detect_singularity(d)
     params = couplings_from_derived(d)
     ab_sum = branch.a + branch.b
     vprime_sum = params.v1 + params.v2 - 2.0 * ab_sum.real
@@ -404,16 +406,15 @@ def partner_singularity(branch: PartnerBranch, d: DerivedParams,
         n1_anomaly=bool(base.is_singular and base.n_star == 1))
 
 
-def factorization_residuals(branch: PartnerBranch, params: CouplingParams,
-                            x, diff_step: float = 1e-5):
+def factorization_residuals(branch: PartnerBranch, params: CouplingParams, x):
     """Max-norm residuals of V = W^2 - W' + E and V_ext = W^2 + W' + E.
 
-    W' is computed by 4th-order central differences with the given off-grid
-    step (the superpotential is evaluable anywhere, so the step need not be
-    tied to the grid spacing).
+    W' is computed by 4th-order central differences with the off-grid step
+    ``_DIFF_STEP`` = 1e-5 (the superpotential is evaluable anywhere, so the
+    step need not be tied to the grid spacing).
     """
     x = np.asarray(x, dtype=float)
-    h = diff_step
+    h = _DIFF_STEP
     w = superpotential(branch, x)
     dw = (superpotential(branch, x - 2 * h) - 8.0 * superpotential(branch, x - h)
           + 8.0 * superpotential(branch, x + h) - superpotential(branch, x + 2 * h)) / (12.0 * h)

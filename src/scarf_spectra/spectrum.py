@@ -100,6 +100,10 @@ def spectrum(d: DerivedParams) -> list[LevelRecord]:
 # spectral singularities
 # ============================================================================
 
+# how close p - 1/2 must come to an integer n* >= 0 to count as singular
+_SINGULARITY_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class SingularityReport:
     is_singular: bool
@@ -109,24 +113,25 @@ class SingularityReport:
     note: str = ""
 
 
-def detect_singularity(d: DerivedParams, tol: float = 1e-9) -> SingularityReport:
-    """Check whether p - 1/2 is a nonnegative integer (within ``tol``).
+def detect_singularity(d: DerivedParams) -> SingularityReport:
+    """Check whether p - 1/2 is a nonnegative integer (within
+    ``_SINGULARITY_TOL`` = 1e-9, reported as ``tolerance_used``).
 
     Outside the complex regime the answer is always negative (with a note);
     no error is raised, so the caller can scan parameter curves freely.
     """
     if d.regime is not Regime.COMPLEX_SPECTRUM:
         return SingularityReport(is_singular=False, n_star=None, e_star=None,
-                                 tolerance_used=tol,
+                                 tolerance_used=_SINGULARITY_TOL,
                                  note=f"regime is {d.regime.value}; singularities require the "
                                       "complex-spectrum regime")
     r = d.p - 0.5
     n_star = round(r)
-    if n_star < 0 or abs(r - n_star) >= tol:
+    if n_star < 0 or abs(r - n_star) >= _SINGULARITY_TOL:
         return SingularityReport(is_singular=False, n_star=None, e_star=None,
-                                 tolerance_used=tol)
+                                 tolerance_used=_SINGULARITY_TOL)
     return SingularityReport(is_singular=True, n_star=int(n_star), e_star=d.q ** 2,
-                             tolerance_used=tol)
+                             tolerance_used=_SINGULARITY_TOL)
 
 
 @dataclass(frozen=True)

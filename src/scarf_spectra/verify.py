@@ -71,6 +71,8 @@ REFERENCE_GRID = GridSpec(half_width=20.0, n_points=4001)
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 _BLOCK = 4096
 _MAX_STEPS = 1 << 17
+# default rtol and atol of jost_solutions, and the tolerances scattering uses
+_JOST_TOL = 1e-11
 
 # golden-section ratio and its complement, as scipy.optimize's golden method
 _GOLDEN_R = 0.61803399
@@ -296,11 +298,12 @@ def _sweep(props: list, start_m, start_p) -> np.ndarray:
 
 
 def jost_solutions(potential: Callable, k: float, grid: GridSpec, x_eval,
-                   rtol: float = 1e-11, atol: float = 1e-11):
+                   rtol: float = _JOST_TOL, atol: float = _JOST_TOL):
     """Values and derivatives of f+ and f- at the requested points.
 
     Returns ``(fp, dfp, fm, dfm)`` arrays aligned with ``x_eval``; points may
-    come in any order and repeat.  f+ = e^{ikx} at x = +L and f- = e^{-ikx}
+    come in any order and repeat, and one outside [-L, L] or NaN raises
+    ``DomainError``.  f+ = e^{ikx} at x = +L and f- = e^{-ikx}
     at x = -L, where L = ``grid.half_width`` (``grid.n_points`` is not used);
     each carries its plane-wave data exactly on its own wall.
 
@@ -324,8 +327,8 @@ def jost_solutions(potential: Callable, k: float, grid: GridSpec, x_eval,
     xe = np.asarray(x_eval, dtype=float)
     if xe.ndim == 0:
         xe = xe[None]
-    if np.any(np.abs(xe) > L):
-        raise DomainError("evaluation points outside the grid")
+    if not np.all(np.abs(xe) <= L):             # also catches NaN
+        raise DomainError("evaluation points outside the grid or not finite")
     if not (k > 0.0 and math.isfinite(k)):
         raise DomainError(f"k must be positive and finite, got {k}")
     if k * L < 2.0 * math.pi:
@@ -377,20 +380,19 @@ def jost_solutions(potential: Callable, k: float, grid: GridSpec, x_eval,
     return fp, dfp, fm, dfm
 
 
-def scattering(potential: Callable, k: float, grid: GridSpec,
-               rtol: float = 1e-11, atol: float = 1e-11) -> ScatteringResult:
+def scattering(potential: Callable, k: float, grid: GridSpec) -> ScatteringResult:
     """Transmission/reflection amplitudes at momentum k (left and right incidence).
 
     The amplitudes are read from the plane-wave content of f+ at x = -L and
     of f- at x = +L, which ``jost_solutions`` gives to within
-    ``atol + rtol * max|f|``; only ``grid.half_width`` is used.  The
-    left/right transmission amplitudes coincide; ``transmission`` is the
+    ``_JOST_TOL * (1 + max|f|)``, with ``_JOST_TOL`` = 1e-11; only
+    ``grid.half_width`` is used.  The left/right transmission amplitudes
+    coincide; ``transmission`` is the
     left-incidence one.  ``wronskian_ratio`` is |W[f+, f-]| at x = 0 scaled
     by the size of its terms; it dips toward 0 at a spectral singularity.
     """
     L = grid.half_width
-    fp, dfp, fm, dfm = jost_solutions(potential, k, grid, [-L, 0.0, L],
-                                      rtol=rtol, atol=atol)
+    fp, dfp, fm, dfm = jost_solutions(potential, k, grid, [-L, 0.0, L])
     fpL, dfpL, fmL, dfmL = fp[0], dfp[0], fm[2], dfm[2]     # f+ at -L, f- at +L
     fp0, dfp0, fm0, dfm0 = fp[1], dfp[1], fm[1], dfm[1]     # both at x = 0
     eikl = complex(np.exp(1j * k * L))

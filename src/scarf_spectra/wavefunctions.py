@@ -29,6 +29,11 @@ from .params import (DerivedParams, Regime, WavefunctionParams, _as_complex,
 # modulus below which a recurrence denominator counts as degenerate
 _RECURRENCE_TOL = 1e-10
 
+# pseudo_norm: first Simpson panel count, and the absolute change between two
+# successive estimates that ends the doubling
+_FIRST_PANELS = 128
+_QUADRATURE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class JacobiSpec:
@@ -208,19 +213,19 @@ def _simpson(f_vals: np.ndarray, h: float) -> complex:
                       + 4.0 * np.sum(f_vals[1:-1:2]) + 2.0 * np.sum(f_vals[2:-1:2]))
 
 
-def pseudo_norm(psi: Callable, domain: tuple, quadrature_points: int = 129,
-                tol: float = 1e-9) -> QuadratureResult:
+def pseudo_norm(psi: Callable, domain: tuple) -> QuadratureResult:
     """PT pseudo-norm integral  I = int [psi(-x)]* psi(x) dx  over ``domain``.
 
-    Composite Simpson, doubling the panel count until two successive
-    estimates differ by less than ``tol`` (absolute); the reported error is
+    Composite Simpson from ``_FIRST_PANELS`` = 128 panels, doubling the panel
+    count until two successive estimates differ by less than
+    ``_QUADRATURE_TOL`` = 1e-9 (absolute); the reported error is
     the Richardson estimate |I_fine - I_coarse| / 15.  Raises
     :class:`ConvergenceError` when the 2**22-point cap is reached first.
     """
     a, b = domain
     if not b > a:
         raise DomainError("quadrature domain is empty")
-    panels = 1 << max(4, int(np.ceil(np.log2(max(quadrature_points - 1, 2)))))
+    panels = _FIRST_PANELS
 
     def integrand(x):
         return np.conjugate(np.asarray(psi(-x))) * np.asarray(psi(x))
@@ -231,10 +236,11 @@ def pseudo_norm(psi: Callable, domain: tuple, quadrature_points: int = 129,
         val = _simpson(integrand(xs), (b - a) / panels)
         if prev is not None:
             diff = abs(val - prev)
-            if diff < tol:
+            if diff < _QUADRATURE_TOL:
                 return QuadratureResult(value=complex(val), error=diff / 15.0,
                                         n_points=panels + 1)
         prev = val
         panels *= 2
     raise ConvergenceError(
-        f"pseudo-norm quadrature did not converge to {tol:g} within 2^22 points")
+        f"pseudo-norm quadrature did not converge to {_QUADRATURE_TOL:g} "
+        "within 2^22 points")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -50,6 +51,80 @@ def test_output_is_byte_identical(capsys):
     assert pair[1]["energy"]["im"] == pytest.approx(-1.45236875483, rel=1e-10)
 
 
+_K_RANGE = ("--k-min", "0.9", "--k-max", "1.3", "--k-steps", "11")
+_GOLDEN_COMMANDS = (
+    ("spectrum",),
+    ("partner",),
+    ("partner", "--branch=-+"),
+    ("singularity",),
+    ("singularity", "--n", "1", "--points", "5"),
+    ("wavefunction", "--n", "0", "--epsilon", "+"),
+    ("wavefunction", "--n", "0", "--epsilon", "+", "--points", "11", "--format", "json"),
+    ("scatter", *_K_RANGE),
+    ("scatter", *_K_RANGE, "--format", "json"),
+)
+# SHA-256 of stdout for each of _GOLDEN_COMMANDS, in order, per (v1, v2)
+_GOLDEN_SHA256 = {
+    ("12", "6"): (
+        "a7da58d70d5d72e05b6645de02303a0dbf6e0b0682f44f3a99c382e044a5b7f0",
+        "eaaebec34d7c357a25fd332b54ebbda42c6cca1baca41d84d6b7b360f539196c",
+        "23ffe9f1cbf964b87a6970561922fb8a573f7796c8454293a988dc74baa97ae6",
+        "45777bb3e0345fa487a2911f83c13e1ed37b9b00a38d31b2714adc9f0436baf3",
+        "26890023af34d2948c8d78ff53e6dd2d8f20594c9e993999bbb8e66759cd6ab4",
+        "fe245a6ec20ca8042d7a465b44dc1518705e41ac30d7c204ee837f7a9783d2a0",
+        "15207d4bd4d3c82675796cb5212b2c95cfbefd30052d2a5883c086643a0694a9",
+        "0fca91d9fd48a236ebed18a681e876c5c13e96a224828671bdc5e3ff667d293f",
+        "5ed0e1e63b095759091b33b92944f5ce5b93bf9557ec4a69b5a201fdbaf46f21",
+    ),
+    ("1", "5"): (
+        "e2a4edc4760171d23eefeeaa641de10e15ccaa5f53c9e488c0e615b9817d5577",
+        "6ff2c6f71e03ba89901b3b39979b31fdbb4c1ca43f7a18174602edc501ce6011",
+        "92c7822548932a0d966b60ec28a1218d60adfe93b5cef203e92609dc09806d72",
+        "cb81770440cd9324ebd0ddadb235f81fc35ba9ee49252964a93f74edad30a1bb",
+        "2e3a525acbdb16225ee0efd3b4da007bfe6de350d77ad3f48ec0c953846653e9",
+        "1244eaf6ce01dbd2b5d86173c35d4f357e39ca899872ea85d8d4d73acf08bc0e",
+        "f548f79ab11e76e8f80c144094205bdf91f4acf7f9be0591efb0b474ac6b8d3f",
+        "bd887f534a7c0b9383287a08b56aa2332d988e31f9558bc1db8aca2318f0df63",
+        "a3cf46a0a8620cd72e58777011cbc77046c96654e3cbad32a43b75a1245d0928",
+    ),
+    ("2", "6.75"): (
+        "ae3e7cb0d4c28374b8e6cb20ae68ac6645b6da3f3f30297b0c9ed03843d785a7",
+        "f0a6f88b996e25577c5287f6b7d40695a3c9c437e1da1ef04a94ce1dbf296ef0",
+        "e4a560796b1fe11c49979eaa4784762bed11c8c1262a235fa6c606d86e436bbe",
+        "b42c58d83662ac10d56a36fd15ae729d73fb24aad515e43fd5afe7e7127b0332",
+        "21487af1e6b95c0f74ee96c84fa4983f308b55e8ab9863f2983234f9a562d411",
+        "3bab084caf14e4c0925fb761fec3923fd72416713b06ffd92e433849d3d30cb0",
+        "c199c58e01b2816cc1bb501ab4befba219fd1443a091101d785fba20bd980128",
+        "a9588b790e84f0180c8e5ec74daf347b22e02af01022146305fa3c409bbd36d2",
+        "17ef8dfe24d10257af020ed3132a7d19f9516d169f2c706ba19e6da64be73abc",
+    ),
+    ("6", "2.25"): (
+        "3bb09c33a29f02e2d7a255140aedaf9b4db23985c18dc0836df80250c9db173e",
+        "67e67184690d0a8eeb4cdc45fdb40c0b7d874a156d30ddb2416ede00539e54db",
+        "d4dce2bd5889e420d0f0dfa21a9e76b0e3279b2b700a180e0210f971e6ea3b0c",
+        "9db19e7012645be0352455c271381d1ef502f3c2892933744ae070ee5e371c76",
+        "67efe40d48b824cbcc6e411097c911381fa81f69f83a679d88b5db0559fd5888",
+        "b7dc3e95f4905779881f41972dedaaf9bbb910644a21ca364ec1d1ae5758acdb",
+        "3cb735a04ae685b9ce22c419e6452f3a99d9ded8de9e11fb476c3b2c071c8f7a",
+        "25910bea8bf800cf8a78fd3a9eb03201b42f940183dc68fbd7dd571b9df56210",
+        "f096530fc50735bed8d36420baa0e9e4f1fa07e38a9860403e8969786bd22f7c",
+    ),
+}
+
+
+def test_default_outputs_are_unchanged(capsys):
+    # the committed digests pin the whole stdout of each command, byte for byte
+    changed = []
+    for (v1, v2), digests in _GOLDEN_SHA256.items():
+        for cmd, digest in zip(_GOLDEN_COMMANDS, digests):
+            argv = [cmd[0], "--v1", v1, "--v2", v2, *cmd[1:]]
+            code, out, err = _run(capsys, argv)
+            assert code == 0 and err == "", argv
+            if hashlib.sha256(out.encode()).hexdigest() != digest:
+                changed.append(" ".join(argv))
+    assert changed == []
+
+
 def test_wavefunction_csv(capsys):
     code, out, err = _run(capsys, [
         "wavefunction", "--v1", "12", "--v2", "6", "--n", "0", "--epsilon", "+",
@@ -100,10 +175,24 @@ def test_scatter_csv(capsys):
 def test_exit_2_on_bad_arguments(capsys):
     for argv in (
         ["spectrum", "--v1", "12"],                                  # missing --v2
-        ["spectrum", "--v1", "12", "--v2", "6", "--format", "csv"],  # json-only
         ["scatter", "--v1", "1", "--v2", "5", "--k-min", "2", "--k-max", "1"],
+        ["scatter", "--v1", "1", "--v2", "5", "--k-min", "1", "--k-max", "inf"],
         ["wavefunction", "--v1", "12", "--v2", "6"],                 # no level
-        ["spectrum", "--v1", "12", "--v2", "6", "--domain", "-1"],
+        ["partner", "--v1", "12", "--v2", "6", "--domain", "-1"],
+        ["partner", "--v1", "12", "--v2", "6", "--domain", "inf"],
+        ["wavefunction", "--v1", "12", "--v2", "6", "--n", "0", "--epsilon", "+",
+         "--domain", "nan", "--points", "3"],
+        # flags these commands do not take
+        ["spectrum", "--v1", "12", "--v2", "6", "--domain", "3"],
+        ["spectrum", "--v1", "12", "--v2", "6", "--points", "7"],
+        ["spectrum", "--v1", "12", "--v2", "6", "--format", "json"],
+        ["singularity", "--v1", "12", "--v2", "6", "--epsilon=-"],
+        ["singularity", "--v1", "12", "--v2", "6", "--domain", "3"],
+        ["singularity", "--v1", "12", "--v2", "6", "--format", "json"],
+        ["partner", "--v1", "12", "--v2", "6", "--format", "json"],
+        ["verify", "--v1", "12", "--v2", "6", "--format", "json"],
+        ["scatter", "--v1", "1", "--v2", "5", "--k-min", "0.5", "--k-max", "1.5",
+         "--points", "4001"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -217,6 +306,15 @@ def test_verify_near_exceptional_point_passes(capsys):
     assert row["note"] == "4 levels"
     assert row["passed"] and row["value"] < row["threshold"] == 1e-3
     assert code == 0 and doc["results"]["all_passed"] is True
+
+
+def test_verify_level_threshold_ignores_points(capsys):
+    # the eigen-solver does not use the grid's point count, so the threshold
+    # its levels are held to does not follow it either
+    _, out, _ = _run(capsys, ["verify", "--v1", "12", "--v2", "6", "--points", "201"])
+    doc = json.loads(out)
+    row = {c["name"]: c for c in doc["results"]["checks"]}["analytic-vs-numeric-levels"]
+    assert row["passed"] and row["threshold"] == 1e-3
 
 
 @pytest.mark.parametrize("v1, v2", [(100.0, 40.0), (400.0, 100.0), (13.3525, 7.1)])

@@ -252,8 +252,9 @@ def test_jost_solutions_point_order_and_domain():
     # free-particle Jost solutions are the plane waves themselves
     assert np.max(np.abs(fp - np.exp(1j * xe))) < 1e-9
     assert np.max(np.abs(fm - np.exp(-1j * xe))) < 1e-9
-    with pytest.raises(DomainError):
-        jost_solutions(_zero, 1.0, g, [30.0])
+    for bad in ([30.0], [0.0, np.nan]):
+        with pytest.raises(DomainError):
+            jost_solutions(_zero, 1.0, g, bad)
 
 
 def test_jost_solutions_wall_points_and_repeats():
