@@ -410,6 +410,12 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(_join_sign_values(list(argv)))
+    # Python 3.11's argparse drops an option value of "--", leaving []
+    if args.branch == []:
+        args.branch = "--"
+    empty = [key for key, value in vars(args).items() if value == []]
+    if empty:
+        parser.error(f"argument --{empty[0].replace('_', '-')}: invalid value '--'")
     if args.command == "wavefunction" and (args.n is None or args.epsilon is None):
         parser.error("wavefunction requires --n and --epsilon")
     if args.command == "scatter":
@@ -421,6 +427,11 @@ def main(argv=None) -> int:
         parser.error("--points must be >= 2")
     if not 0.0 < args.domain < math.inf:
         parser.error("--domain must be positive and finite")
+    if args.command == "verify" and args.points is not None:
+        try:
+            GridSpec(args.domain, args.points)
+        except DomainError as exc:
+            parser.error(f"argument --points: {exc}")
     return run(args)
 
 

@@ -6,7 +6,9 @@ without sharing any of their algebra.  Both numeric paths take V as zero
 beyond ``GridSpec.half_width``.  Discrete levels come from Chebyshev
 collocation on the whole line, mapped by x = c xi / sqrt(1 - xi^2) with
 psi = 0 at xi = -1, 1 (Boyd, Chebyshev and Fourier Spectral Methods, Dover
-2001, ch. 17): one dense eigenvalue solve at degree N and one at 3N/2, with
+2001, ch. 17), at Chebyshev points in the exactly antisymmetric sine form:
+one dense eigenvalue solve at degree N and one at 3N/2, real when the samples
+of V are exactly PT-symmetric and complex otherwise, with
 Boyd's drift test (ch. 7) keeping the eigenvalues that agree between them and
 a continuum test dropping the real non-negative ones; N grows while fewer
 levels than asked are resolved.  Scattering quantities come from the Jost
@@ -106,8 +108,11 @@ def _sorted_levels(levels: list) -> list:
 
 def _cheb(n: int):
     """Chebyshev points cos(pi j / n), j = 0..n, and the differentiation
-    matrix on them (Trefethen, Spectral Methods in MATLAB, SIAM 2000, cheb.m)."""
-    xi = np.cos(np.pi * np.arange(n + 1) / n)
+    matrix on them (Trefethen, Spectral Methods in MATLAB, SIAM 2000, cheb.m).
+    The points are taken as sin(pi (n - 2j) / (2n)), which is exactly
+    antisymmetric in floating point (Baltensperger & Trummer, SIAM J. Sci.
+    Comput. 24 (2003) 1465)."""
+    xi = np.sin(np.pi * (n - 2 * np.arange(n + 1)) / (2 * n))
     c = np.ones(n + 1)
     c[0] = c[-1] = 2.0
     c *= (-1.0) ** np.arange(n + 1)
@@ -116,10 +121,17 @@ def _cheb(n: int):
     return xi, d
 
 
-def _mapped_eigvals(potential: Callable, half_width: float, n: int) -> np.ndarray:
+def _mapped_eigvals(potential: Callable, half_width: float, n: int):
     """Eigenvalues of -d^2/dx^2 + V collocated at the n - 1 interior points of
     the degree-n Chebyshev grid mapped to the whole line, with V = 0 beyond
-    ``half_width``."""
+    ``half_width``, and whether they were taken in real arithmetic.
+
+    The nodes are symmetric about x = 0, so the Laplacian commutes with the
+    reversal J up to roundoff.  When the samples satisfy v[::-1] == conj(v)
+    exactly (PT symmetry), H = lap + diag(v) is similar, by
+    T = (I + iJ)/sqrt(2), to the real matrix lap + diag(Re v) - diag(Im v) J,
+    which is solved instead.
+    """
     xi, d = _cheb(n)
     gd = ((1.0 - xi ** 2) ** 1.5 / _MAP_SCALE)[:, None] * d       # d/dx
     xi = xi[1:-1]
@@ -130,7 +142,10 @@ def _mapped_eigvals(potential: Callable, half_width: float, n: int) -> np.ndarra
     if not np.all(np.isfinite(v)):
         bad = x[box][~np.isfinite(v[box])][0]
         raise DomainError(f"potential is not finite at x = {bad:.6g}")
-    return np.linalg.eigvals(np.diag(v) - gd[1:-1] @ gd[:, 1:-1])
+    lap = -gd[1:-1] @ gd[:, 1:-1]
+    if np.array_equal(v[::-1], v.conj()):
+        return np.linalg.eigvals(lap + np.diag(v.real) - np.diag(v.imag)[:, ::-1]), True
+    return np.linalg.eigvals(np.diag(v) + lap), False
 
 
 def _drift_resolved(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
@@ -164,7 +179,11 @@ def discrete_spectrum(potential: Callable, grid: GridSpec, count: int) -> list:
     inf.  V is sampled at the nodes with |x| <= ``grid.half_width`` and taken
     as 0 beyond, the support ``jost_solutions`` assumes too
     (``grid.n_points`` is not used); a sample that is not finite raises
-    ``DomainError``.  One dense ``numpy.linalg.eigvals`` is taken at degree N
+    ``DomainError``.  The points are computed as sin(pi (N - 2j) / (2N)),
+    exactly antisymmetric in floating point, so the samples of a PT-symmetric
+    V satisfy v[::-1] == conj(v) bit for bit; such a matrix is solved as the
+    similar real matrix (``_mapped_eigvals``), any other in complex
+    arithmetic.  One dense ``numpy.linalg.eigvals`` is taken at degree N
     and one at 3N/2, from N = ``_FIRST_DEGREE``.  Boyd's drift test (ch. 7,
     ``_drift_resolved``) keeps the eigenvalues of the larger matrix that lie
     within 1e-7 (1 + |E|) of an eigenvalue of the smaller one, or whose
@@ -175,7 +194,8 @@ def discrete_spectrum(potential: Callable, grid: GridSpec, count: int) -> list:
     ``_MAX_DEGREE``; then the levels found are returned, possibly fewer than
     ``count`` (none for a potential without bound states).  Levels whose real
     parts agree within 1e-8 (1 + |E|) come lowest Im first.  Each call logs
-    one DEBUG record on the ``scarf_spectra`` logger: each N tried (against
+    one DEBUG record on the ``scarf_spectra`` logger: whether the solves ran
+    in real or complex arithmetic ("mixed" if both), each N tried (against
     2N/3), how many eigenvalues of the last N were kept, how many were
     rejected by the drift test and how many by the continuum test, and how
     many levels are returned.
@@ -183,12 +203,14 @@ def discrete_spectrum(potential: Callable, grid: GridSpec, count: int) -> list:
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     n = _FIRST_DEGREE
-    coarse = _mapped_eigvals(potential, grid.half_width, n)
+    coarse, real = _mapped_eigvals(potential, grid.half_width, n)
+    forms = {real}
     tried = []
     while True:
         n = 3 * n // 2
         tried.append(n)
-        fine = _mapped_eigvals(potential, grid.half_width, n)
+        fine, real = _mapped_eigvals(potential, grid.half_width, n)
+        forms.add(real)
         resolved = _drift_resolved(coarse, fine)
         to_continuum = np.where(fine.real >= 0.0, np.abs(fine.imag), np.abs(fine))
         continuum = resolved & (to_continuum <= _DRIFT_TOL * (1.0 + np.abs(fine)))
@@ -197,8 +219,10 @@ def discrete_spectrum(potential: Callable, grid: GridSpec, count: int) -> list:
             break
         coarse = fine
     levels = _sorted_levels([complex(z) for z in kept])[:count]
-    _log.debug("discrete_spectrum: N tried %s, %d eigenvalues kept, %d rejected "
-               "by drift, %d on the continuum, %d returned", tried, len(kept),
+    arithmetic = "real" if forms == {True} else "complex" if forms == {False} else "mixed"
+    _log.debug("discrete_spectrum: " + arithmetic + " arithmetic, N tried %s, %d "
+               "eigenvalues kept, %d rejected by drift, %d on the continuum, %d "
+               "returned", tried, len(kept),
                int(np.sum(~resolved)), int(np.sum(continuum)), len(levels))
     return levels
 

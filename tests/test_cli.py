@@ -193,6 +193,12 @@ def test_exit_2_on_bad_arguments(capsys):
         ["verify", "--v1", "12", "--v2", "6", "--format", "json"],
         ["scatter", "--v1", "1", "--v2", "5", "--k-min", "0.5", "--k-max", "1.5",
          "--points", "4001"],
+        # verify grids must have an odd count of at least 201 points
+        ["verify", "--v1", "12", "--v2", "6", "--points", "200"],
+        ["verify", "--v1", "12", "--v2", "6", "--points", "4000"],
+        ["verify", "--v1", "12", "--v2", "6", "--points", "199"],
+        # argparse drops the value "--", which only --branch takes
+        ["wavefunction", "--v1", "12", "--v2", "6", "--n", "0", "--epsilon=--"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -256,6 +262,20 @@ def test_partner_negative_branch_flag_parses(capsys):
     assert entry["branch"] == "-+"
     assert entry["edit"]["added"]["energy"]["re"] == pytest.approx(-5.693000468165,
                                                                    rel=1e-11)
+
+
+def test_partner_minus_minus_branch_flag_parses(capsys):
+    # argparse drops a value of "--", separate or attached; the CLI restores it
+    _, out, _ = _run(capsys, ["partner", "--v1", "12", "--v2", "6", "--points", "3"])
+    expected = json.loads(out)["results"]["branches"][3]
+    assert expected["branch"] == "--"
+    for flag in (["--branch", "--"], ["--branch=--"]):
+        code, out, _ = _run(capsys, [
+            "partner", "--v1", "12", "--v2", "6", *flag, "--points", "3"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["inputs"]["branch"] == "--"
+        assert doc["results"]["branches"] == [expected]
 
 
 def test_singularity_report_and_locus(capsys):

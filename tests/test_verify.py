@@ -153,6 +153,62 @@ def test_discrete_spectrum_debug_record(caplog):
     assert kept + drifted + continuum == tried[0] - 1
 
 
+def _two_wells(x):
+    # the potential of test_discrete_spectrum_finds_a_lower_level_far_from_the_shift,
+    # which is not PT-symmetric
+    x = np.asarray(x, dtype=float)
+    return -30.0 / np.cosh(x + 8.0) ** 2 - (16.0 + 40.0j) / np.cosh(x - 8.0) ** 2
+
+
+def test_discrete_spectrum_debug_record_names_the_arithmetic(caplog):
+    for pot, form in ((_pot(PARAMS_REAL), "real"), (_two_wells, "complex")):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="scarf_spectra"):
+            discrete_spectrum(pot, REFERENCE_GRID, 4)
+        (record,) = [r for r in caplog.records if r.msg.startswith("discrete_spectrum")]
+        assert record.getMessage().startswith(f"discrete_spectrum: {form} arithmetic,")
+
+
+@pytest.mark.parametrize("n", [128, 192, 288, 432])
+def test_chebyshev_nodes_are_exactly_antisymmetric(n):
+    xi, _ = verify_module._cheb(n)
+    assert np.array_equal(xi, -xi[::-1])
+    assert xi[0] == 1.0 and xi[-1] == -1.0
+
+
+def _complex_form_eigvals(potential, n):
+    # the collocation matrix lap + diag(v) of _mapped_eigvals, solved in
+    # complex arithmetic whatever the symmetry of v
+    xi, d = verify_module._cheb(n)
+    gd = ((1.0 - xi ** 2) ** 1.5 / verify_module._MAP_SCALE)[:, None] * d
+    x = verify_module._MAP_SCALE * xi[1:-1] / np.sqrt(1.0 - xi[1:-1] ** 2)
+    box = np.abs(x) <= REFERENCE_GRID.half_width
+    v = np.zeros(n - 1, dtype=complex)
+    v[box] = potential(x[box])
+    return np.linalg.eigvals(np.diag(v) - gd[1:-1] @ gd[:, 1:-1])
+
+
+@pytest.mark.parametrize("params, signs, count", [((12.0, 6.0), None, 4),
+                                                  ((40.0, -60.0), None, 10),
+                                                  ((12.0, 6.0), (1, 1), 3)])
+def test_real_form_matches_complex_form(params, signs, count):
+    # a PT-symmetric V is solved as the similar real matrix: near every level
+    # the drift test keeps, its eigenvalues are those of the complex matrix
+    cp = CouplingParams(*params)
+    if signs is None:
+        pot = _pot(cp)
+    else:
+        pot = lambda x, br=solve_branch(derive(cp), *signs): extended_potential(br, cp, x)
+    real, is_real = verify_module._mapped_eigvals(pot, REFERENCE_GRID.half_width, 192)
+    assert is_real and real.size == 191
+    complex_form = _complex_form_eigvals(pot, 192)
+    levels = discrete_spectrum(pot, REFERENCE_GRID, count)
+    assert len(levels) == count
+    for level in levels:
+        z = complex_form[np.argmin(np.abs(complex_form - level))]
+        assert np.min(np.abs(real - z)) <= 1e-9 * (1.0 + abs(z))
+
+
 def test_discrete_spectrum_is_deterministic():
     for params, count in ((PARAMS_REAL, 4), (PARAMS_COMPLEX, 2),
                           (CouplingParams(12.0, 12.249), 4)):
