@@ -18,11 +18,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularBranchError
-from .params import (CouplingParams, Regime, couplings_from_derived, derive,
-                     potential_value)
+from .params import CouplingParams, Regime, derive, potential_value
 from .partner import (BRANCH_SIGNS, PartnerBranch, extended_potential,
-                      factorization_residuals, partner_singularity,
-                      partner_spectrum, solve_branch)
+                      factorization_residuals, partner_spectrum, solve_branch)
 from .spectrum import (detect_singularity, matching_residuals,
                        singularity_locus, spectrum)
 from .verify import GridSpec, discrete_spectrum, residual, scattering
@@ -418,6 +416,8 @@ def main(argv=None) -> int:
         parser.error(f"argument --{empty[0].replace('_', '-')}: invalid value '--'")
     if args.command == "wavefunction" and (args.n is None or args.epsilon is None):
         parser.error("wavefunction requires --n and --epsilon")
+    if args.command == "singularity" and args.points is not None and args.n is None:
+        parser.error("singularity --points sets the locus scan and requires --n")
     if args.command == "scatter":
         if args.k_steps < 1:
             parser.error("--k-steps must be >= 1")

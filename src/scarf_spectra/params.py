@@ -66,6 +66,12 @@ class DerivedParams:
     nu: int
     regime: Regime
 
+    @property
+    def sigma(self) -> complex:
+        """The second shape parameter of both regimes: s, or i q past the
+        boundary, so that 4 sigma^2 = 1/4 + v1 - |v2| in either."""
+        return complex(self.s, self.q)
+
 
 def derive(params: CouplingParams) -> DerivedParams:
     """Map couplings to shape parameters and classify the spectral regime.
@@ -89,13 +95,9 @@ def derive(params: CouplingParams) -> DerivedParams:
 
 def couplings_from_derived(d: DerivedParams) -> CouplingParams:
     """Invert :func:`derive` (used internally; exact up to rounding)."""
-    if d.regime is Regime.COMPLEX_SPECTRUM:
-        v1 = 2.0 * d.p ** 2 - 2.0 * d.q ** 2 - 0.25
-        av2 = 2.0 * (d.p ** 2 + d.q ** 2)
-    else:
-        v1 = 2.0 * d.p ** 2 + 2.0 * d.s ** 2 - 0.25
-        av2 = 2.0 * (d.p ** 2 - d.s ** 2)
-    return CouplingParams(v1=v1, v2=d.nu * av2)
+    sigma2 = d.s ** 2 - d.q ** 2                # Re sigma^2, one term is 0
+    return CouplingParams(v1=2.0 * d.p ** 2 + 2.0 * sigma2 - 0.25,
+                          v2=d.nu * 2.0 * (d.p ** 2 - sigma2))
 
 
 def _as_complex(out):

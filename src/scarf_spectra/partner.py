@@ -13,8 +13,9 @@ Four solution branches exist, labelled by signs (eps_plus, eps_minus):
 
     a = -1/2 + eps_plus p + eps_minus sig,   b = eps_plus p - eps_minus sig,
 
-with sig = s in the real regime and sig = i q in the complex one (there the
-partner is complex but no longer PT symmetric).  In closed form
+with sig = ``DerivedParams.sigma``: s in the real regime and i q in the
+complex one (there the partner is complex but no longer PT symmetric).
+In closed form
 
     V_ext(x) = -(v1 - 2a) sech^2 x + i (v2 - 2b) sech x tanh x
                - 4b / D(x) + 2 (4b^2 - (2a-1)^2) / D(x)^2,
@@ -43,9 +44,8 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError, PoleError, RegimeError, SingularBranchError
 from .params import (CouplingParams, DerivedParams, Regime, _as_complex,
-                     couplings_from_derived,
-                     potential_value, wavefunction_params)
-from .spectrum import (LevelRecord, SingularityReport, detect_singularity, spectrum)
+                     couplings_from_derived, potential_value, wavefunction_params)
+from .spectrum import LevelRecord, detect_singularity, spectrum
 from .wavefunctions import (JacobiSpec, bound_state, bound_state_derivative,
                             gudermannian, jacobi_coeffs, log_sech,
                             wavefunction_value)
@@ -75,13 +75,6 @@ class PartnerBranch:
     kind: PartnerKind
 
 
-def _sigma(d: DerivedParams) -> complex:
-    """Second shape parameter entering the branches: s, or i q past the boundary."""
-    if d.regime is Regime.COMPLEX_SPECTRUM:
-        return 1j * d.q
-    return complex(d.s)
-
-
 def solve_branch(d: DerivedParams, eps_plus: int, eps_minus: int) -> PartnerBranch:
     """Solve the coupled superpotential equations on one sign branch."""
     if eps_plus not in (-1, 1) or eps_minus not in (-1, 1):
@@ -90,9 +83,8 @@ def solve_branch(d: DerivedParams, eps_plus: int, eps_minus: int) -> PartnerBran
         raise DomainError("superpotential branches are constructed for v2 > 0 only")
     if d.regime is Regime.BOUNDARY:
         raise RegimeError("partner construction is not defined on the regime boundary")
-    sig = _sigma(d)
-    a = -0.5 + eps_plus * d.p + eps_minus * sig
-    b = eps_plus * d.p - eps_minus * sig
+    a = -0.5 + eps_plus * d.p + eps_minus * d.sigma
+    b = eps_plus * d.p - eps_minus * d.sigma
     two_a_minus_1 = 2.0 * a - 1.0
     if abs(two_a_minus_1) < 1e-12 * (1.0 + abs(a)):
         raise SingularBranchError(
@@ -107,13 +99,19 @@ def solve_branch(d: DerivedParams, eps_plus: int, eps_minus: int) -> PartnerBran
                          factorization_energy=energy, kind=kind)
 
 
+def _check_poles(den, scale, name: str):
+    """Raise PoleError where the denominator ``den`` of ``name`` vanishes,
+    relative to 1 + |scale|."""
+    if np.any(np.abs(den) < 1e-12 * (1.0 + abs(scale))):
+        raise PoleError(f"{name} pole on the evaluation grid")
+
+
 def superpotential(branch: PartnerBranch, x):
     """W(x) = a tanh x + i b sech x - i cosh x / (i sinh x + c)."""
     x = np.asarray(x, dtype=float)
     sh, ch = np.sinh(x), np.cosh(x)
     den = 1j * sh + branch.c
-    if np.any(np.abs(den) < 1e-12 * (1.0 + abs(branch.c))):
-        raise PoleError("superpotential pole on the evaluation grid")
+    _check_poles(den, branch.c, "superpotential")
     out = branch.a * np.tanh(x) + 1j * branch.b / ch - 1j * ch / den
     return _as_complex(out)
 
@@ -124,8 +122,7 @@ def superpotential_derivative(branch: PartnerBranch, x):
     sh, ch = np.sinh(x), np.cosh(x)
     sech = 1.0 / ch
     den = 1j * sh + branch.c
-    if np.any(np.abs(den) < 1e-12 * (1.0 + abs(branch.c))):
-        raise PoleError("superpotential pole on the evaluation grid")
+    _check_poles(den, branch.c, "superpotential")
     out = (branch.a * sech ** 2 - 1j * branch.b * sech * np.tanh(x)
            - 1j * (branch.c * sh - 1j) / den ** 2)
     return _as_complex(out)
@@ -137,8 +134,7 @@ def extended_potential(branch: PartnerBranch, params: CouplingParams, x):
     sech = 1.0 / np.cosh(x)
     a, b = branch.a, branch.b
     den = 2.0 * b - 1j * (2.0 * a - 1.0) * np.sinh(x)
-    if np.any(np.abs(den) < 1e-12 * (1.0 + abs(b))):
-        raise PoleError("extended potential pole on the evaluation grid")
+    _check_poles(den, b, "extended potential")
     out = (-(params.v1 - 2.0 * a) * sech ** 2
            + 1j * (params.v2 - 2.0 * b) * sech * np.tanh(x)
            - 4.0 * b / den
@@ -188,8 +184,7 @@ class PartnerSpectrumEdit:
 
 
 def _check_branch_matches(branch: PartnerBranch, d: DerivedParams):
-    sig = _sigma(d)
-    a_expect = -0.5 + branch.eps_plus * d.p + branch.eps_minus * sig
+    a_expect = -0.5 + branch.eps_plus * d.p + branch.eps_minus * d.sigma
     if abs(complex(branch.a) - a_expect) > 1e-9 * (1.0 + abs(a_expect)):
         raise DomainError("branch record does not belong to the given parameters")
 
@@ -227,10 +222,8 @@ def partner_spectrum(branch: PartnerBranch, d: DerivedParams):
                     and n_deg < d.p + d.s - 0.5):
                 e_orig = -((d.p + d.s - n_deg - 0.5) ** 2)
                 note = DegeneracyNote(n=n_deg, energy=e_orig)
-    if d.regime is Regime.REAL_SPECTRUM:
-        levels.sort(key=lambda lv: lv.energy.real)
-    else:
-        levels.sort(key=lambda lv: (lv.energy.real, lv.energy.imag))
+    # real levels have Im E = 0, and the sort is stable
+    levels.sort(key=lambda lv: (lv.energy.real, lv.energy.imag))
     return levels, PartnerSpectrumEdit(deleted=deleted, added=added, degeneracy=note)
 
 
@@ -318,9 +311,8 @@ def partner_wavefunction(branch: PartnerBranch, level: LevelRecord, x):
 
 
 def partner_series_count(d: DerivedParams, epsilon: int) -> float:
-    """Upper bound of the partner level index n for the (+, +) branch."""
-    if d.regime is Regime.COMPLEX_SPECTRUM:
-        return d.p - 0.5
+    """Upper bound of the partner level index n for the (+, +) branch:
+    p + eps Re sigma - 1/2, with Re sigma = s, which is 0 past the boundary."""
     return d.p + epsilon * d.s - 0.5
 
 
@@ -344,7 +336,7 @@ def partner_wavefunction_closed(branch: PartnerBranch, d: DerivedParams,
         raise DomainError(f"partner level n = {n} outside the eps = {epsilon:+d} series")
     if epsilon == 1 and n == 1:
         raise DomainError("n = 1 is the level deleted by the (+, +) branch")
-    sig = _sigma(d)
+    sig = d.sigma
     p = complex(d.p)
     if epsilon == 1:
         xi = -1.5 + p + sig

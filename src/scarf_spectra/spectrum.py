@@ -1,12 +1,14 @@
 """Analytic spectrum of the PT-symmetric Scarf II potential, both regimes.
 
-Real regime (|v2| < v1 + 1/4), two quasi-parity series eps = +-1:
+Both regimes are one family in sigma = ``DerivedParams.sigma``, which is s
+in the real regime and i q in the complex one; two quasi-parity series
+eps = +-1 have
 
-    E_{n,eps} = -(p + eps s - n - 1/2)^2,     0 <= n < p + eps s - 1/2.
+    E_{n,eps} = -(p + eps sigma - n - 1/2)^2,  0 <= n < p + eps Re sigma - 1/2.
 
-Complex regime (|v2| > v1 + 1/4), PT broken, conjugate pairs:
-
-    E_{n,eps} = -(p + i eps q - n - 1/2)^2,   0 <= n < p - 1/2.
+Real regime (|v2| < v1 + 1/4): sigma = s, every level is real.  Complex
+regime (|v2| > v1 + 1/4), PT broken: sigma = i q, the two series are
+conjugate pairs, with n < p - 1/2.
 
 Each level carries the exponents (lam, mu) and Jacobi parameters of its
 closed-form wavefunction.  Spectral singularities (real positive-energy
@@ -18,7 +20,7 @@ v1 + |v2| = 4 n*^2 + 4 n* + 3/4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -55,17 +57,24 @@ def _series_count(lam_real: float) -> int:
     return math.ceil(lam_real) if lam_real > 0 else 0
 
 
+def _series(d: DerivedParams, sig) -> list[LevelRecord]:
+    """Levels of the series eps = +1, then eps = -1, for the shape parameter
+    sigma = ``sig``: lam = -1/2 + p + eps sigma, mu = -i nu (p - eps sigma)."""
+    levels = []
+    for eps in (1, -1):
+        lam = -0.5 + d.p + eps * sig
+        wf = wavefunction_params(lam, -1j * d.nu * (d.p - eps * sig))
+        for n in range(_series_count(lam.real)):
+            levels.append(LevelRecord(n=n, epsilon=eps, energy=-((lam - n) ** 2), wf=wf))
+    return levels
+
+
 def real_spectrum(d: DerivedParams) -> list[LevelRecord]:
     """Both quasi-parity series in the real regime, sorted by energy."""
     if d.regime is not Regime.REAL_SPECTRUM:
         raise RegimeError(f"real_spectrum requires the real-spectrum regime, got {d.regime.value}")
-    levels = []
-    for eps in (1, -1):
-        lam = -0.5 + d.p + eps * d.s
-        mu = -1j * d.nu * (d.p - eps * d.s)
-        wf = wavefunction_params(lam, mu)
-        for n in range(_series_count(lam)):
-            levels.append(LevelRecord(n=n, epsilon=eps, energy=-((lam - n) ** 2), wf=wf))
+    # sigma = s, passed as a float so that lam and the energies stay real
+    levels = _series(d, d.s)
     levels.sort(key=lambda lv: lv.energy.real)
     return levels
 
@@ -75,14 +84,7 @@ def complex_spectrum(d: DerivedParams) -> list[LevelRecord]:
     if d.regime is not Regime.COMPLEX_SPECTRUM:
         raise RegimeError(
             f"complex_spectrum requires the complex-spectrum regime, got {d.regime.value}")
-    levels = []
-    count = _series_count(d.p - 0.5)
-    for eps in (-1, 1):
-        lam = -0.5 + d.p + 1j * eps * d.q
-        mu = -1j * d.nu * (d.p - 1j * eps * d.q)
-        wf = wavefunction_params(lam, mu)
-        for n in range(count):
-            levels.append(LevelRecord(n=n, epsilon=eps, energy=-((lam - n) ** 2), wf=wf))
+    levels = _series(d, d.sigma)
     levels.sort(key=lambda lv: (lv.n, lv.epsilon))
     return levels
 

@@ -17,9 +17,11 @@ wall of [-L, L].  They are propagated by a transfer-matrix kernel:
 fourth-order Magnus steps with two Gauss nodes each (Blanes, Casas, Oteo &
 Ros, Phys. Rep. 470 (2009) 151), whose 2x2 exponentials have a closed form,
 multiplied by tree reduction on a grid that doubles until two Richardson
-extrapolations agree.  V is sampled in one vectorized call per segment and
-level.  The |T| peak search is a golden-section search written here.  The
-module needs numpy only.
+extrapolations agree to the fixed tolerance ``_JOST_TOL``.  V is sampled in
+one vectorized call per segment and level.  The |T| peak search is a
+golden-section search written here, with scipy's relative stopping rule.
+``residual`` applies the eighth-order central finite-difference Laplacian
+on a uniform grid.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,13 +37,9 @@ from .errors import ConvergenceError, DomainError
 
 _log = logging.getLogger("scarf_spectra")
 
-_D2_STENCILS = {
-    2: np.array([1.0, -2.0, 1.0]),
-    4: np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0,
-    6: np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0,
-    8: np.array([-9.0, 128.0, -1008.0, 8064.0, -14350.0,
-                 8064.0, -1008.0, 128.0, -9.0]) / 5040.0,
-}
+# eighth-order central second difference of residual, in units of 1/h^2
+_D2_STENCIL = np.array([-9.0, 128.0, -1008.0, 8064.0, -14350.0,
+                        8064.0, -1008.0, 128.0, -9.0]) / 5040.0
 
 
 @dataclass(frozen=True)
@@ -73,7 +71,7 @@ REFERENCE_GRID = GridSpec(half_width=20.0, n_points=4001)
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 _BLOCK = 4096
 _MAX_STEPS = 1 << 17
-# default rtol and atol of jost_solutions, and the tolerances scattering uses
+# relative and absolute tolerance of jost_solutions
 _JOST_TOL = 1e-11
 
 # golden-section ratio and its complement, as scipy.optimize's golden method
@@ -90,15 +88,10 @@ _DRIFT_TOL = 1e-7
 
 
 def _sorted_levels(levels: list) -> list:
-    """Distinct levels (closer than 1e-8 (1 + |z|) count once) sorted by Re;
-    a run of levels whose real parts agree within that tolerance is ordered by
-    Im, lowest first."""
-    unique: list = []
-    for z in sorted(levels, key=lambda z: (z.real, z.imag)):
-        if all(abs(z - u) > 1e-8 * (1.0 + abs(z)) for u in unique):
-            unique.append(z)
+    """Levels sorted by Re; a run of levels whose real parts agree within
+    1e-8 (1 + |z|) is ordered by Im, lowest first."""
     runs: list = []
-    for z in unique:
+    for z in sorted(levels, key=lambda z: (z.real, z.imag)):
         if runs and z.real - runs[-1][-1].real <= 1e-8 * (1.0 + abs(z)):
             runs[-1].append(z)
         else:
@@ -321,8 +314,7 @@ def _sweep(props: list, start_m, start_p) -> np.ndarray:
     return out
 
 
-def jost_solutions(potential: Callable, k: float, grid: GridSpec, x_eval,
-                   rtol: float = _JOST_TOL, atol: float = _JOST_TOL):
+def jost_solutions(potential: Callable, k: float, grid: GridSpec, x_eval):
     """Values and derivatives of f+ and f- at the requested points.
 
     Returns ``(fp, dfp, fm, dfm)`` arrays aligned with ``x_eval``; points may
@@ -336,16 +328,17 @@ def jost_solutions(potential: Callable, k: float, grid: GridSpec, x_eval,
     backward from +L through the same segment propagators, so one set of
     steps gives both.  The step count doubles until two successive
     Richardson extrapolations (16 f_2N - f_N) / 15, which are sixth order,
-    differ by at most ``atol + rtol * max|f|`` at every requested point and
-    both walls, for each of f+, f+', f-, f-' with its own max|f|; that
-    difference estimates the error of the earlier extrapolation, and the
-    later one is returned.  If it is not reached within ``_MAX_STEPS`` steps a
-    ``ConvergenceError`` names k and the estimate.  ``potential`` is called
-    with arrays only.  Every propagator has determinant 1, so the Wronskian
-    fp*dfm - dfp*fm is constant in x up to roundoff and the extrapolation
-    error.  Each call logs one DEBUG record on the ``scarf_spectra`` logger
-    with k, the final step count, the Richardson estimate (relative to
-    max|f|) and the Wronskian drift across the requested points and walls.
+    differ by at most tol + tol max|f|, with the fixed tol = ``_JOST_TOL``
+    = 1e-11, at every requested point and both walls, for each of f+, f+',
+    f-, f-' with its own max|f|; that difference estimates the error of the
+    earlier extrapolation, and the later one is returned.  If it is not
+    reached within ``_MAX_STEPS`` steps a ``ConvergenceError`` names k and
+    the estimate.  ``potential`` is called with arrays only.  Every
+    propagator has determinant 1, so the Wronskian fp*dfm - dfp*fm is
+    constant in x up to roundoff and the extrapolation error.  Each call
+    logs one DEBUG record on the ``scarf_spectra`` logger with k, the final
+    step count, the Richardson estimate (relative to max|f|) and the
+    Wronskian drift across the requested points and walls.
     """
     L = grid.half_width
     xe = np.asarray(x_eval, dtype=float)
@@ -381,12 +374,12 @@ def jost_solutions(potential: Callable, k: float, grid: GridSpec, x_eval,
                 size = np.max(np.abs(extrapolated), axis=1, keepdims=True)
                 diff = np.abs(extrapolated - previous)
                 estimate = float(np.max(diff / np.maximum(size, 1e-300)))
-                if np.all(diff <= atol + rtol * size):
+                if np.all(diff <= _JOST_TOL + _JOST_TOL * size):
                     break
         if 2 * counts.sum() > _MAX_STEPS:
             raise ConvergenceError(
-                f"Jost integration at k = {k:.6g} did not reach rtol = {rtol:g}, "
-                f"atol = {atol:g} within {counts.sum()} steps: "
+                f"Jost integration at k = {k:.6g} did not reach the tolerance "
+                f"{_JOST_TOL:g} within {counts.sum()} steps: "
                 f"Richardson estimate {estimate:.3g} relative")
         coarse = fine
         counts = 2 * counts
@@ -409,7 +402,7 @@ def scattering(potential: Callable, k: float, grid: GridSpec) -> ScatteringResul
 
     The amplitudes are read from the plane-wave content of f+ at x = -L and
     of f- at x = +L, which ``jost_solutions`` gives to within
-    ``_JOST_TOL * (1 + max|f|)``, with ``_JOST_TOL`` = 1e-11; only
+    ``_JOST_TOL`` (1 + max|f|), with ``_JOST_TOL`` = 1e-11; only
     ``grid.half_width`` is used.  The left/right transmission amplitudes
     coincide; ``transmission`` is the
     left-incidence one.  ``wronskian_ratio`` is |W[f+, f-]| at x = 0 scaled
@@ -446,15 +439,14 @@ class ScanPoint:
 
 
 def _golden_max(f: Callable, x0: float, x1: float, x3: float, f1: float,
-                tol: float, relative: bool) -> float:
+                tol: float) -> float:
     """Golden-section search for the maximum of f in the bracket x0 < x1 < x3,
     where f(x1) = f1 is not below f at the ends.
 
     The probes are those of the ``golden`` method of scipy.optimize (its ratio
-    constant, its first inner point, its update order).  The search stops
-    when |x3 - x0| <= tol (|x1| + |x2|) if ``relative``, as that method does,
-    else when |x3 - x0| <= tol, or after 5000 steps; it returns the better
-    inner point.
+    constant, its first inner point, its update order), and so is the stop:
+    when |x3 - x0| <= tol (|x1| + |x2|), or after 5000 steps.  It returns the
+    better inner point.
     """
     if abs(x3 - x1) > abs(x1 - x0):
         x2 = x1 + _GOLDEN_C * (x3 - x1)
@@ -464,7 +456,7 @@ def _golden_max(f: Callable, x0: float, x1: float, x3: float, f1: float,
         x1 = x2 - _GOLDEN_C * (x2 - x0)
         f1 = f(x1)
     for _ in range(5000):
-        if abs(x3 - x0) <= tol * (abs(x1) + abs(x2) if relative else 1.0):
+        if abs(x3 - x0) <= tol * (abs(x1) + abs(x2)):
             break
         if f2 > f1:
             x0, x1, f1 = x1, x2, f2
@@ -494,11 +486,11 @@ def _peak_in_window(potential: Callable, k_window, grid: GridSpec,
     lo = ks[max(i - 1, 0)]
     hi = ks[min(i + 1, coarse_steps - 1)]
     if i == 0 or i == coarse_steps - 1:
-        # peak on a window edge: search the edge interval to an absolute xtol
+        # peak on a window edge: search the edge interval from its golden point
         mid = lo + _GOLDEN_C * (hi - lo)
-        k = _golden_max(height, lo, mid, hi, height(mid), xtol, relative=False)
+        k = _golden_max(height, lo, mid, hi, height(mid), xtol)
     else:
-        k = _golden_max(height, lo, ks[i], hi, hs[i], xtol, relative=True)
+        k = _golden_max(height, lo, ks[i], hi, hs[i], xtol)
     return float(np.clip(k, k_lo, k_hi))
 
 
@@ -526,23 +518,20 @@ def singularity_scan(params_curve: Sequence, k_window, grid: GridSpec,
 
 
 def residual(potential: Callable, psi: Callable, energy: complex,
-             grid: GridSpec, order: int = 8) -> float:
+             grid: GridSpec) -> float:
     """max |(-D2 + V - E) psi| over interior points, relative to max |psi|.
 
-    D2 is the central finite-difference Laplacian of the given order
-    (2, 4, 6 or 8).  With the default order the truncation error sits near
-    roundoff for smooth states on the reference grid.
+    D2 is the eighth-order central finite-difference Laplacian
+    (``_D2_STENCIL``); its truncation error sits near roundoff for smooth
+    states on the reference grid.
     """
-    if order not in _D2_STENCILS:
-        raise DomainError(f"order must be one of {sorted(_D2_STENCILS)}, got {order}")
     xs = grid.points()
     f = np.asarray(psi(xs), dtype=complex)
     v = np.asarray(potential(xs), dtype=complex)
-    stencil = _D2_STENCILS[order]
-    hw = len(stencil) // 2
+    hw = len(_D2_STENCIL) // 2
     n = len(xs)
     d2 = np.zeros(n - 2 * hw, dtype=complex)
-    for j, cj in enumerate(stencil):
+    for j, cj in enumerate(_D2_STENCIL):
         d2 += cj * f[j:n - 2 * hw + j]
     d2 /= grid.h ** 2
     inner = slice(hw, n - hw)

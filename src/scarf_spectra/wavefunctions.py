@@ -16,6 +16,7 @@ doubling composite Simpson rule and a Richardson error estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -220,9 +221,12 @@ def pseudo_norm(psi: Callable, domain: tuple) -> QuadratureResult:
     count until two successive estimates differ by less than
     ``_QUADRATURE_TOL`` = 1e-9 (absolute); the reported error is
     the Richardson estimate |I_fine - I_coarse| / 15.  Raises
-    :class:`ConvergenceError` when the 2**22-point cap is reached first.
+    :class:`ConvergenceError` when the 2**22-point cap is reached first, and
+    :class:`DomainError` at once for an empty or non-finite domain.
     """
     a, b = domain
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"quadrature domain ({a}, {b}) must be finite")
     if not b > a:
         raise DomainError("quadrature domain is empty")
     panels = _FIRST_PANELS

@@ -189,6 +189,7 @@ def test_exit_2_on_bad_arguments(capsys):
         ["singularity", "--v1", "12", "--v2", "6", "--epsilon=-"],
         ["singularity", "--v1", "12", "--v2", "6", "--domain", "3"],
         ["singularity", "--v1", "12", "--v2", "6", "--format", "json"],
+        ["singularity", "--v1", "12", "--v2", "6", "--points", "5"],   # needs --n
         ["partner", "--v1", "12", "--v2", "6", "--format", "json"],
         ["verify", "--v1", "12", "--v2", "6", "--format", "json"],
         ["scatter", "--v1", "1", "--v2", "5", "--k-min", "0.5", "--k-max", "1.5",

@@ -1,0 +1,27 @@
+import ast
+from pathlib import Path
+
+import scarf_spectra
+
+PACKAGE = Path(scarf_spectra.__file__).parent
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_modules_use_every_name_they_import():
+    # __init__.py only re-exports, so its imports are its API
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = {p.name: _unused_imports(ast.parse(p.read_text(), str(p))) for p in modules}
+    assert {name: found for name, found in unused.items() if found} == {}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scarf_spectra import (CouplingParams, DomainError, Regime, couplings_from_derived,
-                           derive, potential_value, wavefunction_params)
+                           derive, potential_value, spectrum, wavefunction_params)
 
 
 def test_coupling_validation():
@@ -73,6 +73,40 @@ def test_derived_identities_random_draws():
         back = couplings_from_derived(d)
         assert back.v1 == pytest.approx(v1, rel=1e-12)
         assert back.v2 == pytest.approx(v2, rel=1e-12)
+
+
+def test_sigma_is_s_or_i_q():
+    d = derive(CouplingParams(12.0, 6.0))
+    assert d.sigma == complex(d.s, 0.0) == 1.25
+    d = derive(CouplingParams(1.0, 5.0))
+    assert d.sigma == complex(0.0, d.q) and d.q > 0.0
+    assert derive(CouplingParams(1.0, 1.25)).sigma == 0.0          # boundary
+    rng = np.random.default_rng(20261018)
+    for _ in range(200):
+        v1 = float(rng.uniform(0.05, 40.0))
+        v2 = float(rng.choice((-1.0, 1.0)) * rng.uniform(0.01, 80.0))
+        d = derive(CouplingParams(v1, v2))
+        if d.regime is Regime.REAL_SPECTRUM:
+            assert d.sigma == d.s and d.q == 0.0
+        else:
+            assert d.sigma == 1j * d.q and d.s == 0.0
+
+
+def test_real_regime_levels_carry_no_negative_zero():
+    # a -0 imaginary part would print as "-0" in the JSON output
+    rng = np.random.default_rng(20261019)
+    seen = set()
+    for _ in range(200):
+        v1 = float(rng.uniform(0.05, 40.0))
+        v2 = float(rng.choice((-1.0, 1.0)) * rng.uniform(0.01, 80.0))
+        d = derive(CouplingParams(v1, v2))
+        seen.add(d.regime)
+        if d.regime is not Regime.REAL_SPECTRUM:
+            continue
+        for lv in spectrum(d):
+            for z in (lv.energy, lv.wf.lam):
+                assert isinstance(z, float) or math.copysign(1.0, z.imag) == 1.0
+    assert seen == {Regime.REAL_SPECTRUM, Regime.COMPLEX_SPECTRUM}
 
 
 def test_potential_at_origin_and_tails():

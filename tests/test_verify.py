@@ -408,9 +408,11 @@ def test_jost_solutions_match_independent_integrator():
 
 
 def test_jost_solutions_unreachable_tolerance_raises():
+    # the kinks of V at the zeros of sin 7.3x spoil the high-order convergence,
+    # so the Richardson estimate is still 8e-7 at the step cap
+    kinked = lambda x: -3.0 * np.abs(np.sin(7.3 * x))
     with pytest.raises(ConvergenceError, match="k = 1"):
-        jost_solutions(_pot(PARAMS_REAL), 1.0, GridSpec(20.0, 201), [0.0],
-                       rtol=1e-17, atol=0.0)
+        jost_solutions(kinked, 1.0, GridSpec(20.0, 201), [0.0])
 
 
 def test_jost_solutions_debug_record(caplog):
@@ -439,17 +441,19 @@ def test_golden_max_follows_scipy_golden():
         ref = scipy.optimize.minimize_scalar(
             lambda k: -peak(k), bracket=(lo, mid, hi), method="golden",
             options={"xtol": xtol}).x
-        got = verify_module._golden_max(peak, lo, mid, hi, peak(mid), xtol, relative=True)
+        got = verify_module._golden_max(peak, lo, mid, hi, peak(mid), xtol)
         assert got == ref
 
 
-def test_golden_max_absolute_tolerance():
+def test_golden_max_edge_interval():
+    # a maximum on the bracket's edge: the search closes in on it and stops
+    # at the relative rule |x3 - x0| <= xtol (|x1| + |x2|)
     def slope(k):
         return k
-    for lo, hi, xtol in ((1.0, 1.2, 1e-6), (0.9, 1.3, 1e-9)):
+    for lo, hi, xtol in ((1.0, 1.2, 1e-6), (0.9, 1.3, 1e-9), (0.05, 0.09, 1e-6)):
         mid = lo + verify_module._GOLDEN_C * (hi - lo)
-        got = verify_module._golden_max(slope, lo, mid, hi, mid, xtol, relative=False)
-        assert hi - xtol <= got <= hi
+        got = verify_module._golden_max(slope, lo, mid, hi, mid, xtol)
+        assert hi - 2.0 * xtol * hi <= got < hi
 
 
 def test_singularity_scan_locus_vs_off_locus():
@@ -482,7 +486,6 @@ def test_singularity_scan_validation():
 def test_residual_analytic_state_small():
     lv = real_spectrum(derive(PARAMS_REAL))[0]
     psi = lambda x: bound_state(lv, x)
-    assert residual(_pot(PARAMS_REAL), psi, lv.energy, REFERENCE_GRID, order=4) < 1e-6
     assert residual(_pot(PARAMS_REAL), psi, lv.energy, REFERENCE_GRID) < 1e-9
 
 
@@ -496,9 +499,5 @@ def test_residual_rejects_noise():
 
 
 def test_residual_validation():
-    lv = real_spectrum(derive(PARAMS_REAL))[0]
-    psi = lambda x: bound_state(lv, x)
-    with pytest.raises(DomainError):
-        residual(_pot(PARAMS_REAL), psi, lv.energy, REFERENCE_GRID, order=3)
     with pytest.raises(DomainError):
         residual(_pot(PARAMS_REAL), lambda x: np.zeros_like(x), 0.0, REFERENCE_GRID)

@@ -115,18 +115,18 @@ def test_bound_state_derivative_matches_differencing():
             assert bound_state_derivative(lv, x) == pytest.approx(fd, rel=1e-8)
 
 
-def test_residual_halves_at_second_order():
-    # plain central second difference: residual drops ~4x when h halves
+def test_residual_converges_at_eighth_order():
+    # eighth-order central stencil: residual drops ~2^8 = 256x when h halves
     params = CouplingParams(12.0, 6.0)
     d = derive(params)
     lv = spectrum(d)[0]
     pot = lambda x: potential_value(params, x)
     psi = lambda x: bound_state(lv, x)
-    r_coarse = residual(pot, psi, lv.energy, GridSpec(20.0, 1001), order=2)
-    r_mid = residual(pot, psi, lv.energy, GridSpec(20.0, 2001), order=2)
-    r_fine = residual(pot, psi, lv.energy, GridSpec(20.0, 4001), order=2)
-    assert r_coarse / r_mid == pytest.approx(4.0, rel=0.1)
-    assert r_mid / r_fine == pytest.approx(4.0, rel=0.1)
+    r_coarse = residual(pot, psi, lv.energy, GridSpec(20.0, 401))
+    r_mid = residual(pot, psi, lv.energy, GridSpec(20.0, 801))
+    r_fine = residual(pot, psi, lv.energy, GridSpec(20.0, 1601))
+    assert r_coarse / r_mid == pytest.approx(256.0, rel=0.15)
+    assert r_mid / r_fine == pytest.approx(256.0, rel=0.15)
 
 
 def test_all_bound_state_residuals_small():
@@ -255,3 +255,9 @@ def test_pseudo_norm_zero_function():
 def test_pseudo_norm_empty_domain():
     with pytest.raises(DomainError):
         pseudo_norm(lambda x: np.exp(-x * x), (3.0, 3.0))
+
+
+def test_pseudo_norm_non_finite_domain():
+    for domain in ((-math.inf, math.inf), (-5.0, math.inf), (math.nan, 5.0)):
+        with pytest.raises(DomainError, match="finite"):
+            pseudo_norm(lambda x: np.exp(-x * x), domain)
