@@ -9,6 +9,7 @@ complex numbers as {"re", "im"}.  Exit codes: 0 success, 2 bad arguments,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -349,7 +350,10 @@ _COMMANDS = {
 # argument parsing
 # ----------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process; parse_args leaves
+    it unchanged."""
     parser = argparse.ArgumentParser(
         prog="scarf-spectra",
         description="Spectra, wavefunctions and SUSY extensions of the "

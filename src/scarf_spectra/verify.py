@@ -10,10 +10,10 @@ psi = 0 at xi = -1, 1 (Boyd, Chebyshev and Fourier Spectral Methods, Dover
 one dense eigenvalue solve at degree N and one at 3N/2, real when the samples
 of V are exactly PT-symmetric and complex otherwise, with
 Boyd's drift test (ch. 7) keeping the eigenvalues that agree between them and
-a continuum test dropping the real non-negative ones; N grows while fewer
-levels than asked are resolved.  Scattering quantities come from the Jost
-solutions, the solutions of psi'' = (V - k^2) psi with plane-wave data on one
-wall of [-L, L].  They are propagated by a transfer-matrix kernel:
+a continuum test dropping the real non-negative ones; N grows from 56 by 3/2
+up to 424 while fewer levels than asked are resolved.  Scattering quantities
+come from the Jost solutions, the solutions of psi'' = (V - k^2) psi with
+plane-wave data on one wall of [-L, L].  They are propagated by a transfer-matrix kernel:
 fourth-order Magnus steps with two Gauss nodes each (Blanes, Casas, Oteo &
 Ros, Phys. Rep. 470 (2009) 151), whose 2x2 exponentials have a closed form,
 multiplied by tree reduction on a grid that doubles until two Richardson
@@ -79,11 +79,12 @@ _GOLDEN_R = 0.61803399
 _GOLDEN_C = 1.0 - _GOLDEN_R
 
 # discrete_spectrum: scale c of the map x = c xi / sqrt(1 - xi^2), first and
-# largest Chebyshev degree N (each step takes N to 3N/2), and the relative
-# tolerance of the drift and continuum tests
+# largest Chebyshev degree N (each step takes N to 3N//2, and the largest is a
+# step of that ladder), and the relative tolerance of the drift and continuum
+# tests
 _MAP_SCALE = 4.0
-_FIRST_DEGREE = 128
-_MAX_DEGREE = 432
+_FIRST_DEGREE = 56
+_MAX_DEGREE = 424
 _DRIFT_TOL = 1e-7
 
 
@@ -177,16 +178,17 @@ def discrete_spectrum(potential: Callable, grid: GridSpec, count: int) -> list:
     V satisfy v[::-1] == conj(v) bit for bit; such a matrix is solved as the
     similar real matrix (``_mapped_eigvals``), any other in complex
     arithmetic.  One dense ``numpy.linalg.eigvals`` is taken at degree N
-    and one at 3N/2, from N = ``_FIRST_DEGREE``.  Boyd's drift test (ch. 7,
-    ``_drift_resolved``) keeps the eigenvalues of the larger matrix that lie
-    within 1e-7 (1 + |E|) of an eigenvalue of the smaller one, or whose
-    cluster mean does, as for the doubled level of a partner potential; of
-    those, the ones within the same distance of the continuum [0, inf) are
+    and one at 3N/2, from N = ``_FIRST_DEGREE`` = 56.  Boyd's drift test
+    (ch. 7, ``_drift_resolved``) keeps the eigenvalues of the larger matrix
+    that lie within 1e-7 (1 + |E|) of an eigenvalue of the smaller one, or
+    whose cluster mean does, as for the doubled level of a partner potential;
+    of those, the ones within the same distance of the continuum [0, inf) are
     dropped, since a real E >= 0 is no bound state of a decaying V.  While
     fewer than ``count`` remain, N grows by 3/2, reusing the last solve, up to
-    ``_MAX_DEGREE``; then the levels found are returned, possibly fewer than
-    ``count`` (none for a potential without bound states).  Levels whose real
-    parts agree within 1e-8 (1 + |E|) come lowest Im first.  Each call logs
+    ``_MAX_DEGREE`` = 424 (N = 56, 84, 126, 189, 283, 424); then the levels
+    found are returned, possibly fewer than ``count`` (none for a potential
+    without bound states).  Levels whose real parts agree within
+    1e-8 (1 + |E|) come lowest Im first.  Each call logs
     one DEBUG record on the ``scarf_spectra`` logger: whether the solves ran
     in real or complex arithmetic ("mixed" if both), each N tried (against
     2N/3), how many eigenvalues of the last N were kept, how many were
@@ -436,6 +438,7 @@ class ScanPoint:
     k_peak: float
     peak_height: float
     wronskian_ratio: float
+    at_window_edge: bool = False
 
 
 def _golden_max(f: Callable, x0: float, x1: float, x3: float, f1: float,
@@ -471,6 +474,10 @@ def _golden_max(f: Callable, x0: float, x1: float, x3: float, f1: float,
 
 def _peak_in_window(potential: Callable, k_window, grid: GridSpec,
                     coarse_steps: int, xtol: float):
+    """(k, at_edge): the momentum of the largest |T| in ``k_window``, and
+    whether it is an end of the window rather than a maximum: the coarse
+    maximum is at that end and k lies within the golden-section tolerance
+    xtol (|k| + |end|) of it."""
     k_lo, k_hi = float(k_window[0]), float(k_window[1])
     if not (0.0 < k_lo < k_hi):
         raise DomainError(f"invalid momentum window ({k_lo}, {k_hi})")
@@ -489,9 +496,11 @@ def _peak_in_window(potential: Callable, k_window, grid: GridSpec,
         # peak on a window edge: search the edge interval from its golden point
         mid = lo + _GOLDEN_C * (hi - lo)
         k = _golden_max(height, lo, mid, hi, height(mid), xtol)
+        at_edge = abs(k - ks[i]) <= xtol * (abs(k) + abs(ks[i]))
     else:
         k = _golden_max(height, lo, ks[i], hi, hs[i], xtol)
-    return float(np.clip(k, k_lo, k_hi))
+        at_edge = False
+    return float(np.clip(k, k_lo, k_hi)), bool(at_edge)
 
 
 def singularity_scan(params_curve: Sequence, k_window, grid: GridSpec,
@@ -502,18 +511,21 @@ def singularity_scan(params_curve: Sequence, k_window, grid: GridSpec,
     by the potential closure).  Each point gets a coarse scan over
     ``coarse_steps`` momenta followed by golden-section refinement of the
     bracketed peak.  On the singularity locus the peak is a near-pole of |T|
-    with a collapsing Wronskian; off it, a finite bump.
+    with a collapsing Wronskian; off it, a finite bump.  When |T| is largest
+    at an end of the window, ``k_peak`` is that end (within the search
+    tolerance), not a maximum, and ``at_window_edge`` is True.
     """
     from .params import potential_value
 
     out = []
     for pr in params_curve:
         potential = lambda x, _pr=pr: potential_value(_pr, x)
-        k_peak = _peak_in_window(potential, k_window, grid, coarse_steps, xtol)
+        k_peak, at_edge = _peak_in_window(potential, k_window, grid, coarse_steps, xtol)
         sc = scattering(potential, k_peak, grid)
         out.append(ScanPoint(params=pr, k_peak=k_peak,
                              peak_height=abs(sc.transmission),
-                             wronskian_ratio=sc.wronskian_ratio))
+                             wronskian_ratio=sc.wronskian_ratio,
+                             at_window_edge=at_edge))
     return out
 
 

@@ -222,7 +222,9 @@ def pseudo_norm(psi: Callable, domain: tuple) -> QuadratureResult:
     ``_QUADRATURE_TOL`` = 1e-9 (absolute); the reported error is
     the Richardson estimate |I_fine - I_coarse| / 15.  Raises
     :class:`ConvergenceError` when the 2**22-point cap is reached first, and
-    :class:`DomainError` at once for an empty or non-finite domain.
+    :class:`DomainError` at once for an empty or non-finite domain, or on the
+    first pass whose integrand has a sample that is not finite, naming the
+    first such x.
     """
     a, b = domain
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -237,7 +239,11 @@ def pseudo_norm(psi: Callable, domain: tuple) -> QuadratureResult:
     prev = None
     while panels + 1 <= (1 << 22) + 1:
         xs = np.linspace(a, b, panels + 1)
-        val = _simpson(integrand(xs), (b - a) / panels)
+        samples = integrand(xs)
+        if not np.all(np.isfinite(samples)):
+            bad = xs[~np.isfinite(samples)][0]
+            raise DomainError(f"pseudo-norm integrand is not finite at x = {bad:.6g}")
+        val = _simpson(samples, (b - a) / panels)
         if prev is not None:
             diff = abs(val - prev)
             if diff < _QUADRATURE_TOL:

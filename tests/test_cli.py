@@ -279,6 +279,16 @@ def test_partner_minus_minus_branch_flag_parses(capsys):
         assert doc["results"]["branches"] == [expected]
 
 
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    # main reuses one parser; a --branch given to one call must not reach the next
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["partner", "--v1", "12", "--v2", "6", "--points", "3"]
+    _, first, _ = _run(capsys, argv)
+    _run(capsys, argv + ["--branch", "-+"])
+    _, again, _ = _run(capsys, argv)
+    assert again == first and len(json.loads(again)["results"]["branches"]) == 4
+
+
 def test_singularity_report_and_locus(capsys):
     code, out, _ = _run(capsys, [
         "singularity", "--v1", "2", "--v2", "6.75", "--n", "1", "--points", "5"])

@@ -12,7 +12,7 @@ from scarf_spectra import (BRANCH_SIGNS, ConvergenceError, CouplingParams,
                            complex_spectrum, derive, discrete_spectrum,
                            extended_potential, jost_solutions, potential_value,
                            real_spectrum, residual, scattering, singularity_scan,
-                           solve_branch)
+                           solve_branch, spectrum)
 
 PARAMS_REAL = CouplingParams(12.0, 6.0)
 PARAMS_COMPLEX = CouplingParams(1.0, 5.0)
@@ -153,6 +153,71 @@ def test_discrete_spectrum_debug_record(caplog):
     assert kept + drifted + continuum == tried[0] - 1
 
 
+def test_discrete_spectrum_debug_record_climbs_to_the_cap(caplog):
+    # the ten levels of (40, -60) settle only between the last two degrees
+    params = CouplingParams(40.0, -60.0)
+    with caplog.at_level(logging.DEBUG, logger="scarf_spectra"):
+        got = discrete_spectrum(_pot(params), REFERENCE_GRID, 10)
+    (record,) = [r for r in caplog.records if r.msg.startswith("discrete_spectrum")]
+    assert record.getMessage().startswith("discrete_spectrum: real arithmetic,")
+    tried, kept, _, _, returned = record.args
+    assert tried[-1] == verify_module._MAX_DEGREE
+    assert len(got) == returned == kept == 10
+
+
+def _sweep_couplings(rng, per_class):
+    # per_class draws each of: real regime with 0 < V2 <= V1/2, real regime
+    # with -V1/2 <= V2 < 0, and the broken regime with every Re E < 0
+    out = []
+    while len(out) < 3 * per_class:
+        kind = len(out) // per_class
+        v1 = rng.uniform(1.0, 60.0)
+        if kind == 0:
+            v2 = rng.uniform(0.05, 0.5) * v1
+        elif kind == 1:
+            v2 = -rng.uniform(0.05, 0.5) * v1
+        else:
+            v2 = (v1 + 0.25) * rng.uniform(1.05, 3.0) * rng.choice([-1.0, 1.0])
+        params = CouplingParams(v1, v2)
+        levels = [complex(lv.energy) for lv in spectrum(derive(params))]
+        if levels and (kind < 2 or max(e.real for e in levels) < 0.0):
+            out.append((params, levels))
+    return out
+
+
+def test_discrete_spectrum_seeded_sweep_has_no_false_agreement():
+    # the drift test must not accept a pair of degrees that agree on a wrong
+    # value, which is likeliest at the lowest degrees of the ladder: every
+    # level returned is a closed-form level, and every closed-form level whose
+    # decay length 1 / Re sqrt(-E) fits in the box is returned.  A level
+    # shallower than that (|E| < 1 / L^2) may settle only past the largest
+    # degree.
+    rng = np.random.default_rng(0)
+    for params, levels in _sweep_couplings(rng, 5):
+        got = discrete_spectrum(_pot(params), REFERENCE_GRID, len(levels))
+        for z in got:
+            assert min(abs(z - e) for e in levels) <= 1e-6 * (1.0 + abs(z)), (params, z)
+        for e in levels:
+            if 1.0 / np.sqrt(-e).real <= REFERENCE_GRID.half_width:
+                assert min((abs(z - e) for z in got), default=np.inf) \
+                    <= 1e-6 * (1.0 + abs(e)), (params, e)
+
+
+@pytest.mark.xfail(strict=True, reason="near the PT boundary the roundoff of the "
+                   "non-normal collocation matrix grows with N, so no pair of "
+                   "degrees passes the drift test for every level")
+def test_discrete_spectrum_near_the_pt_boundary():
+    # (100, 90) has 13 real levels; 5 come back, the error of the fifth-lowest
+    # grows from 2e-8 at N = 126 to 6e-7 at N = 424
+    params = CouplingParams(100.0, 90.0)
+    levels = sorted((complex(lv.energy) for lv in real_spectrum(derive(params))),
+                    key=lambda z: z.real)
+    got = discrete_spectrum(_pot(params), REFERENCE_GRID, len(levels))
+    assert len(levels) == len(got) == 13
+    for num, ana in zip(got, levels):
+        assert abs(num - ana) < 1e-6 * (1.0 + abs(ana))
+
+
 def _two_wells(x):
     # the potential of test_discrete_spectrum_finds_a_lower_level_far_from_the_shift,
     # which is not PT-symmetric
@@ -169,7 +234,7 @@ def test_discrete_spectrum_debug_record_names_the_arithmetic(caplog):
         assert record.getMessage().startswith(f"discrete_spectrum: {form} arithmetic,")
 
 
-@pytest.mark.parametrize("n", [128, 192, 288, 432])
+@pytest.mark.parametrize("n", [56, 84, 126, 128, 189, 192, 283, 288, 424, 432])
 def test_chebyshev_nodes_are_exactly_antisymmetric(n):
     xi, _ = verify_module._cheb(n)
     assert np.array_equal(xi, -xi[::-1])
@@ -467,6 +532,28 @@ def test_singularity_scan_locus_vs_off_locus():
     assert locus.wronskian_ratio < 1e-3
     assert off.peak_height / locus.peak_height < 1e-3
     assert off.wronskian_ratio > 1e-2
+
+
+def test_singularity_scan_flags_a_window_edge():
+    # off the locus |T| of (1, 5) still rises at k = 1.3: the scan returns the
+    # window's end, not a maximum, and says so
+    grid = GridSpec(20.0, 1001)
+    (edge,) = singularity_scan([PARAMS_COMPLEX], (0.9, 1.3), grid)
+    assert edge.at_window_edge and 1.3 - 2.6e-6 <= edge.k_peak <= 1.3
+    # the largest coarse sample is the window's first momentum, but the peak at
+    # k = 1.06066 lies inside the edge interval
+    (near,) = singularity_scan([CouplingParams(2.0, 6.75)], (1.058, 1.3), grid)
+    assert not near.at_window_edge and abs(near.k_peak - 1.0606601) < 1e-5
+
+
+@pytest.mark.parametrize("pair, window", [((2.0, 6.75), (1.04, 1.08)),
+                                          ((2.2, 6.75), (1.02, 1.06)),
+                                          ((6.0, 18.75), (1.75, 1.79))])
+def test_singularity_scan_interior_peaks_are_not_window_edges(pair, window):
+    # the windows of the transmission-scan benchmark each hold their peak
+    (pt,) = singularity_scan([CouplingParams(*pair)], window, GridSpec(20.0, 1001),
+                             coarse_steps=9)
+    assert not pt.at_window_edge and window[0] < pt.k_peak < window[1]
 
 
 def test_singularity_scan_validation():

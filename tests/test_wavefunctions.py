@@ -261,3 +261,12 @@ def test_pseudo_norm_non_finite_domain():
     for domain in ((-math.inf, math.inf), (-5.0, math.inf), (math.nan, 5.0)):
         with pytest.raises(DomainError, match="finite"):
             pseudo_norm(lambda x: np.exp(-x * x), domain)
+
+
+def test_pseudo_norm_non_finite_sample():
+    # one NaN sample at x = 0 stops the first pass and names x
+    def psi(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x == 0.0, np.nan, np.exp(-x * x))
+    with pytest.raises(DomainError, match="not finite at x = 0$"):
+        pseudo_norm(psi, (-5.0, 5.0))
