@@ -10,7 +10,7 @@ from .partner import (BRANCH_SIGNS, DegeneracyNote, PartnerBranch, PartnerKind,
                       PartnerSingularityReport, PartnerSpectrumEdit,
                       added_level_wavefunction, exceptional_jacobi,
                       extended_potential, factorization_residuals,
-                      factorizing_function, partner_polynomial_coeffs,
+                      factorizing_function, partner_polynomial,
                       partner_singularity, partner_spectrum,
                       partner_wavefunction, partner_wavefunction_closed,
                       solve_branch, superpotential, superpotential_derivative)
@@ -43,7 +43,7 @@ __all__ = [
     "factorization_residuals", "factorizing_function", "gudermannian",
     "jacobi_derivative", "jacobi_eval", "jacobi_explicit", "jost_solutions",
     "log_sech",
-    "matching_residuals", "partner_polynomial_coeffs", "partner_singularity",
+    "matching_residuals", "partner_polynomial", "partner_singularity",
     "partner_spectrum", "partner_wavefunction", "partner_wavefunction_closed",
     "potential_value", "pseudo_norm", "real_spectrum", "residual",
     "scattering", "singularity_locus", "singularity_scan",

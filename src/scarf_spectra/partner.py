@@ -29,7 +29,9 @@ rational: their polynomial parts divide by the linear factor
     B(y) = (p - sig) - (p + sig - 1) y,        y = i sinh x,
 
 and the eps = -1 family is governed by the degree-(n+1) exceptional (X1)
-Jacobi polynomials, constructed here from classical Jacobi polynomials.
+Jacobi polynomials.  Both families combine B with a classical Jacobi
+polynomial P and P', evaluated at the sample points by the bound states'
+recurrence (``jacobi_eval``), under the same ``envelope``.
 """
 
 from __future__ import annotations
@@ -40,14 +42,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError, PoleError, RegimeError, SingularBranchError
 from .params import (CouplingParams, DerivedParams, Regime, _as_complex,
                      couplings_from_derived, potential_value, wavefunction_params)
 from .spectrum import LevelRecord, detect_singularity, spectrum
 from .wavefunctions import (JacobiSpec, bound_state, bound_state_derivative,
-                            gudermannian, jacobi_coeffs, log_sech,
+                            envelope, jacobi_derivative, jacobi_eval,
                             wavefunction_value)
 
 BRANCH_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -231,8 +232,13 @@ def partner_spectrum(branch: PartnerBranch, d: DerivedParams):
 # exceptional (X1) Jacobi polynomials and partner polynomial families
 # ============================================================================
 
-def exceptional_jacobi_coeffs(degree: int, s: complex, p: complex) -> np.ndarray:
-    """Coefficients of the degree-k X1 exceptional Jacobi polynomial.
+def _bracket(p: complex, sig: complex, y):
+    """The linear factor B(y) = (p - sig) - (p + sig - 1) y."""
+    return (p - sig) - (p + sig - 1.0) * y
+
+
+def exceptional_jacobi(degree: int, s: complex, p: complex, y):
+    """Evaluate the degree-k X1 exceptional Jacobi polynomial at y.
 
     Parameters correspond to the classical pair (alpha, beta) = (2s-1, 1-2p).
     The construction combines P_{k-1}^{(2s, -2p)} and its derivative with the
@@ -244,26 +250,16 @@ def exceptional_jacobi_coeffs(degree: int, s: complex, p: complex) -> np.ndarray
     s, p = complex(s), complex(p)
     if abs(2.0 * s - 1.0) < 1e-10 or abs(p + s - 1.0) < 1e-10:
         raise DomainError("degenerate X1 construction: 2s - 1 or p + s - 1 vanishes")
-    n = degree - 1
-    pn = jacobi_coeffs(JacobiSpec(n, 2.0 * s, -2.0 * p))
-    dpn = npoly.polyder(pn)
-    b_lin = np.array([p - s, -(p + s - 1.0)], dtype=complex)
-    one_minus_y = np.array([1.0, -1.0], dtype=complex)
-    inner = npoly.polyadd(npoly.polymul(b_lin, dpn), (p + s - 1.0) * pn)
-    g = npoly.polyadd(-2.0 * s * npoly.polymul(b_lin, pn),
-                      npoly.polymul(one_minus_y, inner))
-    return np.asarray(g, dtype=complex) * (2.0 / (2.0 * s - 1.0))
+    y = np.asarray(y, dtype=complex)
+    spec = JacobiSpec(degree - 1, 2.0 * s, -2.0 * p)
+    pn, dpn = jacobi_eval(spec, y), jacobi_derivative(spec, y)
+    b = _bracket(p, s, y)
+    g = -2.0 * s * b * pn + (1.0 - y) * (b * dpn + (p + s - 1.0) * pn)
+    return _as_complex(g * (2.0 / (2.0 * s - 1.0)))
 
 
-def exceptional_jacobi(degree: int, s: complex, p: complex, y):
-    """Evaluate the degree-k X1 exceptional Jacobi polynomial at y."""
-    coeffs = exceptional_jacobi_coeffs(degree, s, p)
-    out = npoly.polyval(np.asarray(y, dtype=complex), coeffs)
-    return _as_complex(out)
-
-
-def partner_polynomial_coeffs(n: int, epsilon: int, p: complex, sig: complex) -> np.ndarray:
-    """Polynomial part of the (+, +)-branch partner state psi^(-)_{n, eps}.
+def partner_polynomial(n: int, epsilon: int, p: complex, sig: complex, y):
+    """Polynomial part of the (+, +)-branch partner state psi^(-)_{n, eps} at y.
 
     eps = +1 family (n = 0, 2, 3, ...): degree-n combination
         (p + sig - 1) P_n^{(-2 sig, -2p)} + B(y) dP_n/dy,
@@ -277,17 +273,17 @@ def partner_polynomial_coeffs(n: int, epsilon: int, p: complex, sig: complex) ->
         raise DomainError(f"level index must be >= 0, got {n}")
     p, sig = complex(p), complex(sig)
     if epsilon == -1:
-        return exceptional_jacobi_coeffs(n + 1, sig, p)
+        return exceptional_jacobi(n + 1, sig, p, y)
     if epsilon != 1:
         raise DomainError(f"epsilon must be +1 or -1, got {epsilon}")
     if n == 1:
         raise DomainError("n = 1 is the level deleted by the (+, +) branch")
-    pn = jacobi_coeffs(JacobiSpec(n, -2.0 * sig, -2.0 * p))
-    b_lin = np.array([p - sig, -(p + sig - 1.0)], dtype=complex)
-    q = npoly.polyadd((p + sig - 1.0) * pn, npoly.polymul(b_lin, npoly.polyder(pn)))
-    if n == 0:
-        return np.asarray(q / (p + sig - 1.0), dtype=complex)
-    return np.asarray(q * (-4.0 / (p + sig - n)), dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    spec = JacobiSpec(n, -2.0 * sig, -2.0 * p)
+    q = ((p + sig - 1.0) * jacobi_eval(spec, y)
+         + _bracket(p, sig, y) * jacobi_derivative(spec, y))
+    scale = 1.0 / (p + sig - 1.0) if n == 0 else -4.0 / (p + sig - n)
+    return _as_complex(q * scale)
 
 
 # ============================================================================
@@ -344,12 +340,10 @@ def partner_wavefunction_closed(branch: PartnerBranch, d: DerivedParams,
     else:
         xi = -0.5 + p - sig
         eta = -1j * (p + sig - 1.0)
-    coeffs = partner_polynomial_coeffs(n, epsilon, p, sig)
     x = np.asarray(x, dtype=float)
     y = 1j * np.sinh(x)
-    bracket = (p - sig) - (p + sig - 1.0) * y
-    out = (np.exp(xi * log_sech(x) + eta * gudermannian(x))
-           * npoly.polyval(y, coeffs) / bracket)
+    out = (envelope(xi, eta, x) * partner_polynomial(n, epsilon, p, sig, y)
+           / _bracket(p, sig, y))
     return _as_complex(out)
 
 

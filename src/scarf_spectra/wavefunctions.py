@@ -5,10 +5,12 @@ All bound and singular states of the potential share the ansatz
     psi(x) = sech(x)^lam * exp(mu * arctan(sinh x)) * P_n^{(alpha, beta)}(i sinh x)
 
 with complex Jacobi parameters.  The classical three-term recurrence remains
-valid for complex (alpha, beta); where one of its denominators degenerates the
-evaluator falls back to the explicit finite hypergeometric sum, which is
-always defined.  Overall normalization of every closed-form state is fixed to
-N = 1 (the prefactor-free form above).
+valid for complex (alpha, beta); where a factor of one of its denominators
+comes within 1 of zero the evaluator uses the explicit finite hypergeometric
+sum, which is always defined.  The partner and X1 exceptional states of
+``partner.py`` combine the same polynomials and the same ``envelope``.
+Overall normalization of every closed-form state is fixed to N = 1 (the
+prefactor-free form above).
 
 Also provided: the PT pseudo-norm integral of a state, computed with a
 doubling composite Simpson rule and a Richardson error estimate.
@@ -21,14 +23,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import ConvergenceError, DomainError
 from .params import (DerivedParams, Regime, WavefunctionParams, _as_complex,
                      wavefunction_params)
 
-# modulus below which a recurrence denominator counts as degenerate
-_RECURRENCE_TOL = 1e-10
+# modulus below which a recurrence denominator factor counts as degenerate; a
+# smaller one costs digits (1e-4 relative at alpha + beta = -8 + 0.007), and
+# every bound, singular and in-range partner state keeps each factor above 3
+_RECURRENCE_TOL = 1.0
 
 # pseudo_norm: first Simpson panel count, and the absolute change between two
 # successive estimates that ends the doubling
@@ -57,44 +60,29 @@ def _binomial_rising(z: complex, j: int) -> complex:
     return out
 
 
-def _explicit_coeff(spec: JacobiSpec, k: int) -> complex:
-    """Weight C(n+alpha, n-k) C(n+beta, k) of ((y-1)/2)^k ((y+1)/2)^(n-k) in
-    the explicit sum for P_n^{(alpha,beta)}(y)."""
-    return (_binomial_rising(spec.n + spec.alpha, spec.n - k)
-            * _binomial_rising(spec.n + spec.beta, k))
-
-
 def jacobi_explicit(spec: JacobiSpec, y):
-    """P_n^{(alpha,beta)}(y) by the explicit finite sum (no denominators that
-    can degenerate; slower than the recurrence, used as fallback and oracle)."""
+    """P_n^{(alpha,beta)}(y) by the explicit finite sum
+    sum_k C(n+alpha, n-k) C(n+beta, k) ((y-1)/2)^k ((y+1)/2)^(n-k) (no
+    denominators that can degenerate; slower than the recurrence, used as its
+    fallback and as the tests' oracle)."""
     y = np.asarray(y, dtype=complex)
     n = spec.n
     half_minus = (y - 1.0) / 2.0
     half_plus = (y + 1.0) / 2.0
     total = np.zeros_like(y)
     for k in range(n + 1):
-        total = total + _explicit_coeff(spec, k) * half_minus ** k * half_plus ** (n - k)
+        coeff = (_binomial_rising(n + spec.alpha, n - k)
+                 * _binomial_rising(n + spec.beta, k))
+        total = total + coeff * half_minus ** k * half_plus ** (n - k)
     return _as_complex(total)
-
-
-def jacobi_coeffs(spec: JacobiSpec) -> np.ndarray:
-    """Ascending power-series coefficients of P_n^{(alpha,beta)}(y), from the
-    same explicit sum as :func:`jacobi_explicit`."""
-    n = spec.n
-    total = np.zeros(n + 1, dtype=complex)
-    for k in range(n + 1):
-        term = npoly.polymul(npoly.polypow(np.array([-0.5, 0.5]), k),
-                             npoly.polypow(np.array([0.5, 0.5]), n - k))
-        total[:len(term)] += term * _explicit_coeff(spec, k)
-    return total
 
 
 def jacobi_eval(spec: JacobiSpec, y):
     """P_n^{(alpha,beta)}(y) by the three-term recurrence, complex-safe.
 
-    Any degree whose recurrence denominator 2k (k+a+b) (2k+a+b-2) has a factor
-    of modulus < 1e-10 is replaced by the explicit sum; the recurrence then
-    continues from the repaired value.
+    When a denominator 2k (k+a+b) (2k+a+b-2) of some degree k <= n has a
+    factor of modulus < ``_RECURRENCE_TOL`` = 1, the explicit sum evaluates
+    the whole degree instead.
     """
     y = np.asarray(y, dtype=complex)
     n, al, be = spec.n, spec.alpha, spec.beta
@@ -105,16 +93,14 @@ def jacobi_eval(spec: JacobiSpec, y):
     p = ((al - be) + (al + be + 2.0) * y) / 2.0             # P_1
     if n == 1:
         return _as_complex(p)
+    ab = al + be
     for k in range(2, n + 1):
-        ab = al + be
         if min(abs(k + ab), abs(2 * k + ab - 2.0)) < _RECURRENCE_TOL:
-            cur = jacobi_explicit(JacobiSpec(k, al, be), y)
-            cur = np.asarray(cur, dtype=complex)
-        else:
-            denom = 2.0 * k * (k + ab) * (2 * k + ab - 2.0)
-            c1 = (2 * k + ab - 1.0) * ((2 * k + ab) * (2 * k + ab - 2.0) * y + al * al - be * be)
-            c2 = 2.0 * (k + al - 1.0) * (k + be - 1.0) * (2 * k + ab)
-            cur = (c1 * p - c2 * pm1) / denom
+            return jacobi_explicit(spec, y)
+        denom = 2.0 * k * (k + ab) * (2 * k + ab - 2.0)
+        c1 = (2 * k + ab - 1.0) * ((2 * k + ab) * (2 * k + ab - 2.0) * y + al * al - be * be)
+        c2 = 2.0 * (k + al - 1.0) * (k + be - 1.0) * (2 * k + ab)
+        cur = (c1 * p - c2 * pm1) / denom
         pm1, p = p, cur
     return _as_complex(p)
 
@@ -144,10 +130,15 @@ def gudermannian(x):
     return 2.0 * np.arctan(np.tanh(x / 2.0))
 
 
+def envelope(lam: complex, mu: complex, x):
+    """sech(x)^lam * exp(mu * arctan(sinh x)), the factor of every closed form."""
+    return np.exp(lam * log_sech(x) + mu * gudermannian(x))
+
+
 def wavefunction_value(wf: WavefunctionParams, n: int, x):
     """Evaluate the ansatz state with parameters ``wf`` and polynomial degree n."""
     x = np.asarray(x, dtype=float)
-    pre = np.exp(wf.lam * log_sech(x) + wf.mu * gudermannian(x))
+    pre = envelope(wf.lam, wf.mu, x)
     poly = jacobi_eval(JacobiSpec(n, wf.alpha, wf.beta), 1j * np.sinh(x))
     out = pre * poly
     return _as_complex(out)
@@ -157,7 +148,7 @@ def wavefunction_derivative(wf: WavefunctionParams, n: int, x):
     """d/dx of :func:`wavefunction_value`, in closed form (no differencing)."""
     x = np.asarray(x, dtype=float)
     y = 1j * np.sinh(x)
-    pre = np.exp(wf.lam * log_sech(x) + wf.mu * gudermannian(x))
+    pre = envelope(wf.lam, wf.mu, x)
     sech = 1.0 / np.cosh(x)
     poly = jacobi_eval(JacobiSpec(n, wf.alpha, wf.beta), y)
     dpoly = jacobi_derivative(JacobiSpec(n, wf.alpha, wf.beta), y)
@@ -173,6 +164,7 @@ def bound_state(level, x):
 
 
 def bound_state_derivative(level, x):
+    """d/dx psi_{n,eps}(x) for a spectrum level record, in closed form."""
     if level.wf is None:
         raise DomainError("level carries no closed-form wavefunction parameters")
     return wavefunction_derivative(level.wf, level.n, x)

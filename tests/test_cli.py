@@ -378,15 +378,18 @@ def test_verify_nan_residual_fails_its_check(capsys, monkeypatch):
 def test_cli_import_leaves_optimize_and_sparse_unloaded():
     # the package depends on numpy alone: no scipy module at all (so neither
     # scipy.optimize nor scipy.sparse.linalg) is loaded by the CLI import,
-    # nor by a verify run in the same process
+    # nor by a verify run in the same process; nor is numpy.polynomial, which
+    # `import numpy` leaves unloaded and every closed form does without
     code = "\n".join([
         "import contextlib, io, sys",
         "import scarf_spectra.cli as cli",
-        "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
-        "print(scipy())",
+        "unwanted = ('scipy', 'numpy.polynomial')",
+        "loaded = lambda: sorted(m for m in sys.modules",
+        "                        if any(m == u or m.startswith(u + '.') for u in unwanted))",
+        "print(loaded())",
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    code = cli.main(['verify', '--v1', '12', '--v2', '6'])",
-        "print(code, scipy())",
+        "print(code, loaded())",
     ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})

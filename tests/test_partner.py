@@ -6,18 +6,18 @@ import pytest
 
 from scarf_spectra import (BRANCH_SIGNS, CouplingParams, DomainError,
                            GridSpec, LevelRecord, PartnerBranch, PartnerKind,
-                           PoleError, RegimeError, SingularBranchError,
+                           PoleError, REFERENCE_GRID, RegimeError, SingularBranchError,
                            added_level_wavefunction, bound_state, complex_spectrum,
                            derive, detect_singularity, exceptional_jacobi,
                            extended_potential, factorization_residuals,
-                           factorizing_function, partner_polynomial_coeffs,
+                           factorizing_function, partner_polynomial,
                            partner_singularity, partner_spectrum,
                            partner_wavefunction, partner_wavefunction_closed,
                            potential_value, real_spectrum, residual, solve_branch,
                            spectrum, superpotential, superpotential_derivative,
                            wavefunction_derivative, wavefunction_params,
                            wavefunction_value)
-from scarf_spectra.partner import exceptional_jacobi_coeffs
+from scarf_spectra.partner import partner_series_count
 
 REAL_D = derive(CouplingParams(12.0, 6.0))
 COMPLEX_D = derive(CouplingParams(1.0, 5.0))
@@ -336,24 +336,28 @@ def test_partner_spectrum_rejects_mismatched_parameters():
 # partner polynomials
 # ---------------------------------------------------------------------------
 
+PARTNER_YS = np.array([0.0, 1.0, -1.0, 0.4 - 1.3j, -2.2 + 0.6j, 3.1j])
+
+
 def test_partner_polynomial_degree0():
-    coeffs = partner_polynomial_coeffs(0, 1, REAL_D.p, REAL_D.s)
-    assert coeffs.shape == (1,)
-    assert coeffs[0] == pytest.approx(1.0, abs=1e-14)
+    vals = partner_polynomial(0, 1, REAL_D.p, REAL_D.s, PARTNER_YS)
+    assert vals.shape == PARTNER_YS.shape
+    assert np.max(np.abs(vals - 1.0)) < 1e-14
 
 
 def test_partner_polynomial_degree2_published_form():
     p, s = REAL_D.p, REAL_D.s
-    coeffs = partner_polynomial_coeffs(2, 1, p, s)
-    expected = np.array([2.0 * (p - s) ** 2 - (p + s - 1.0),
-                         -2.0 * (p - s) * (2.0 * p + 2.0 * s - 3.0),
-                         (p + s - 1.0) * (2.0 * p + 2.0 * s - 3.0)], dtype=complex)
-    assert np.max(np.abs(coeffs - expected)) < 1e-12 * np.max(np.abs(expected))
+    vals = partner_polynomial(2, 1, p, s, PARTNER_YS)
+    y = PARTNER_YS
+    expected = ((p + s - 1.0) * (2.0 * p + 2.0 * s - 3.0) * y ** 2
+                - 2.0 * (p - s) * (2.0 * p + 2.0 * s - 3.0) * y
+                + 2.0 * (p - s) ** 2 - (p + s - 1.0))
+    assert np.max(np.abs(vals - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
 def test_partner_polynomial_skips_deleted_index():
     with pytest.raises(DomainError):
-        partner_polynomial_coeffs(1, 1, REAL_D.p, REAL_D.s)
+        partner_polynomial(1, 1, REAL_D.p, REAL_D.s, 0.5)
 
 
 def test_exceptional_jacobi_degree1_convention():
@@ -370,15 +374,15 @@ def test_exceptional_jacobi_validation():
     with pytest.raises(DomainError):
         exceptional_jacobi(0, 1.25, 2.0, 0.5)
     with pytest.raises(DomainError):
-        exceptional_jacobi_coeffs(2, 0.5, 2.0)          # 2s - 1 = 0
+        exceptional_jacobi(2, 0.5, 2.0, 0.5)            # 2s - 1 = 0
     with pytest.raises(DomainError):
-        exceptional_jacobi_coeffs(2, 0.25, 0.75)        # p + s - 1 = 0
+        exceptional_jacobi(2, 0.25, 0.75, 0.5)          # p + s - 1 = 0
 
 
 def test_exceptional_jacobi_matches_minus_family():
     p, s = REAL_D.p, REAL_D.s
-    got = partner_polynomial_coeffs(0, -1, p, s)
-    want = exceptional_jacobi_coeffs(1, s, p)
+    got = partner_polynomial(0, -1, p, s, PARTNER_YS)
+    want = exceptional_jacobi(1, s, p, PARTNER_YS)
     assert np.max(np.abs(got - want)) == 0.0
 
 
@@ -463,6 +467,216 @@ def test_partner_intertwined_all_branches():
                 psi = lambda x, _lv=lv, _b=br: partner_wavefunction(_b, _lv, x)
                 res = residual(pot, psi, lv.energy, GridSpec(20.0, 4001))
                 assert res < 1e-5, (params, sp, sm, lv.n, lv.epsilon, res)
+
+
+# ---------------------------------------------------------------------------
+# every (+, +) partner state of a deep real and a complex coupling pair
+# ---------------------------------------------------------------------------
+
+# Values frozen from the power-basis evaluation (monomial coefficients and
+# Horner's rule), an independent route to the same closed forms.
+PINNED_X = (-3.0, -0.7, 0.0, 1.1, 4.0)
+PINNED_Y = (0.3 - 0.8j, -1.7 + 0.4j, 2.5j)
+
+FROZEN_PARTNER_STATES = {
+    (100, 40): {
+        (0, 1): (
+            (6.2123466973742755e-12+5.3068082698425086e-11j), (0.021677391868167736+0.0010817133611026831j),
+            (0.4901201657614257+0j), (0.0010517620914774952-0.0005673730435012366j),
+            (1.4404464574238418e-17-4.950969985625331e-15j),
+        ),
+        (2, 1): (
+            (-1.2715109385347232e-07-7.742386318365512e-07j), (-1.8891944657286972+1.0227248134736244j),
+            (-0.23360343776172393+0j), (-0.32609255732134257+0.053025599776200645j),
+            (-1.0722876092730442e-11+5.389025669672727e-10j),
+        ),
+        (3, 1): (
+            (3.5270885627923786e-05-7.007919308235956e-06j), (-6.251672987453972-4.356301212666458j),
+            (4.527163286744522+0j), (-0.19269188967098633+2.0144972499636453j),
+            (6.726243317692808e-08+2.1622492087478314e-09j),
+        ),
+        (4, 1): (
+            (0.00017712027987964513+0.0007205064675982398j), (-1.432605124288367-12.29931875884571j),
+            (7.053864615628994+0j), (4.920828894780438+2.455718843082537j),
+            (1.8381813267345947e-07-3.7794746805494157e-06j),
+        ),
+        (5, 1): (
+            (-0.007960451040950662+0.0025040391185160685j), (5.419929052979307-12.591025999914189j),
+            (9.50194892440169+0j), (7.057294847046791-4.353694619804227j),
+            (-0.00011570801352717863-8.336133220977867e-06j),
+        ),
+        (6, 1): (
+            (-0.020704295887836476-0.04868319690015347j), (8.749986131373102-9.21671299138916j),
+            (9.07784651417406+0j), (2.2904101555261485-7.792157610508283j),
+            (-0.00021497814641627909+0.0019917746790351154j),
+        ),
+        (7, 1): (
+            (0.15349269949996655-0.09808972083800997j), (8.191870770659065-5.085637496169618j),
+            (7.114432672811393+0j), (-1.0745557989042993-6.175834924635777j),
+            (0.018424173129989025+0.0031342499247133957j),
+        ),
+        (8, 1): (
+            (0.24550338168669558+0.1906960838506576j), (5.780561065300776-2.442025652000018j),
+            (4.705106046760045+0j), (-1.8077031885662853-3.7330291678909022j),
+            (0.024344369662355328-0.07963640881514161j),
+        ),
+        (9, 1): (
+            (0.05942883447960565+0.27116809380733387j), (3.9598577693925336-1.3635999424724579j),
+            (3.1611421625520397+0j), (-1.5075299080001707-2.3426560544930513j),
+            (-0.10568265784288132-0.09227433236371871j),
+        ),
+        (0, -1): (
+            (-0.052618609496056984-0.021997892110101572j), (-1.2406029259115434+0.5669840971658855j),
+            (-1.0197596684771486+0j), (0.34959325862163526+0.8283786015388837j),
+            (-0.007212344174840566+0.009920468941359792j),
+        ),
+        (1, -1): (
+            (-0.26167852159960264-0.8487946899765745j), (-12.879636233842536+4.5574776293318395j),
+            (-10.303786335552472+0j), (4.798863401589293+7.709269586558839j),
+            (0.2513542752050721+0.33397993755167305j),
+        ),
+    },
+    (30, 60): {
+        (0, 1): (
+            (8.472334348629765e-05-0.0007277729921599239j), (-0.7838484274400023+0.6910760939063311j),
+            (0.15833333333333333+0.09090593428863095j), (0.00044986015895225295+0.0012414353825105087j),
+            (-2.3567441870253213e-09-7.977133861201786e-10j),
+        ),
+        (2, 1): (
+            (-2.2536265674895666+0.5422750691727046j), (-1.8476815014022878+11.525931863609669j),
+            (9.154166666666667-6.22705649877122j), (0.31811632834491393-0.07116549369758858j),
+            (-9.158846474056965e-06+7.82927862093421e-05j),
+        ),
+        (3, 1): (
+            (26.983434162076847-29.377493864570262j), (0.7705891377729083+21.127681781455802j),
+            (15.916666666666668-39.86874546658529j), (1.497442944253126-1.6981859374329604j),
+            (0.002355059998434708+0.004371125181851956j),
+        ),
+        (4, 1): (
+            (-198.46434228581057+217.02994479409153j), (4.018316505502837+25.153573423679166j),
+            (-21.427473958333316-83.95589153122044j), (1.4077840432081554-7.595614862218346j),
+            (0.0947147826350338+0.10078636534538507j),
+        ),
+        (0, -1): (
+            (-1.491248481174594e-06+1.3374363383193867e-06j), (0.08128250928796638-0.005058819333861139j),
+            (-1.683333333333333+0.18181186857726203j), (1.4591593813324755+2.242169647180713j),
+            (0.00010204970998939805+1.2146265389122013e-05j),
+        ),
+        (1, -1): (
+            (-0.00010022313803499808-6.217701056528413e-07j), (0.5488561753360786+0.28649327661016255j),
+            (-7.280284552845528-2.574189992904891j), (4.225029956212445-3.939269337160908j),
+            (-0.0077786333622971784-0.009586807293583202j),
+        ),
+        (2, -1): (
+            (-0.0017599861940626198-0.0010640444953850688j), (1.3646562578729076+1.741134758071562j),
+            (-13.1797256097561-11.309474251774008j), (5.104683615292885-2.7314381452500127j),
+            (0.08169330646511974+0.5698578207684284j),
+        ),
+        (3, -1): (
+            (-0.01571849927487384-0.0167707192442641j), (1.6577941590021827+4.621588274068196j),
+            (-12.90104166666667-21.760608020341028j), (-1.3569093279234767-2.347088724493387j),
+            (0.6415558379366746-13.780242368488137j),
+        ),
+        (4, -1): (
+            (-0.11815418278638216-0.10823950070446617j), (0.8829019403860583+7.345887743108802j),
+            (-5.539554751016261-25.154510403186197j), (-1.6498101848527111-7.348123476207176j),
+            (57.68068982216242+199.41359142932382j),
+        ),
+    },
+}
+
+FROZEN_X1 = {
+    (100, 40): (
+        (
+            (3.200810054940108-14.083845304365619j), (-32.00880320597394+7.0419226521828095j),
+            (-2.0806319341969983+44.01201657614256j),
+        ),
+        (
+            (43.96069937617787-132.36507711284696j), (-381.1349428292952+99.81930620762195j),
+            (110.37064385549492+445.1753356506453j),
+        ),
+        (
+            (217.80133580694803-647.7016100223574j), (-1882.4312150631063+496.1308770395219j),
+            (566.3436016765893+2181.1004014748405j),
+        ),
+        (
+            (521.5259780636596-2179.656058816364j), (-5090.242429228112+1144.219165704069j),
+            (-88.90536239820793+6898.520169650539j),
+        ),
+        (
+            (260.62770687189334-5472.0171068618965j), (-8318.07216442554+1244.2807148774064j),
+            (-8049.724689938003+11947.8826955372j),
+        ),
+        (
+            (-2581.667499008564-10209.676943769207j), (-8516.736182051263+371.1311633816202j),
+            (-20509.278150511655-828.6932162404037j),
+        ),
+    ),
+    (30, 60): (
+        (
+            (-0.8865151541457124+1.0906628745132139j), (-22.431742422927144-0.8180492401225008j),
+            (-21.135890143294645+24.204356057317856j),
+        ),
+        (
+            (-11.42528356749234+3.1347080548882724j), (-183.35826238719793+101.89684870960974j),
+            (229.272904341812+19.215174636113606j),
+        ),
+        (
+            (-47.01516454214211-11.863999692267987j), (-398.95183579055663+683.7327787434215j),
+            (-323.0856049111084-229.6748651454202j),
+        ),
+        (
+            (-99.33320084276224-77.74644995443859j), (-42.78858159649877+1541.4087475481201j),
+            (360.9735921971652-293.56077461069776j),
+        ),
+        (
+            (-128.60870949677087-190.673833279853j), (658.9316906713801+1522.7761789560752j),
+            (164.88481965290998+867.699133115819j),
+        ),
+        (
+            (-119.07377842350127-282.9611439278758j), (682.2411745217469+714.9885593143537j),
+            (-1847.861504406632+345.21031151549516j),
+        ),
+    ),
+}
+
+
+def _closed_partner_indices(d):
+    return [(n, eps) for eps in (1, -1)
+            for n in range(math.ceil(partner_series_count(d, eps)))
+            if (n, eps) != (1, 1)]
+
+
+@pytest.mark.parametrize("v1, v2", sorted(FROZEN_PARTNER_STATES))
+def test_partner_closed_states_frozen_values(v1, v2):
+    d = derive(CouplingParams(v1, v2))
+    br = solve_branch(d, 1, 1)
+    frozen = FROZEN_PARTNER_STATES[(v1, v2)]
+    assert sorted(frozen) == sorted(_closed_partner_indices(d))
+    for (n, eps), want in frozen.items():
+        got = partner_wavefunction_closed(br, d, n, eps, np.array(PINNED_X))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=str((n, eps)))
+
+
+@pytest.mark.parametrize("v1, v2", sorted(FROZEN_X1))
+def test_exceptional_jacobi_frozen_values(v1, v2):
+    d = derive(CouplingParams(v1, v2))
+    for degree, want in enumerate(FROZEN_X1[(v1, v2)], start=1):
+        got = exceptional_jacobi(degree, d.sigma, d.p, np.array(PINNED_Y))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=str(degree))
+
+
+@pytest.mark.parametrize("v1, v2", sorted(FROZEN_PARTNER_STATES))
+def test_partner_closed_states_every_level_solves_extended_equation(v1, v2):
+    params = CouplingParams(v1, v2)
+    d = derive(params)
+    br = solve_branch(d, 1, 1)
+    pot = _vext_callable(br, params)
+    energies = {(lv.n, lv.epsilon): lv.energy for lv in spectrum(d)}
+    for n, eps in _closed_partner_indices(d):
+        psi = lambda x, _n=n, _e=eps: partner_wavefunction_closed(br, d, _n, _e, x)
+        res = residual(pot, psi, energies[(n, eps)], REFERENCE_GRID)
+        assert res < 1e-6, (n, eps, res)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from numpy.polynomial import polynomial as npoly
 
 from scarf_spectra import (ConvergenceError, CouplingParams, DomainError, GridSpec,
                            JacobiSpec, bound_state, bound_state_derivative, derive,
@@ -11,7 +10,6 @@ from scarf_spectra import (ConvergenceError, CouplingParams, DomainError, GridSp
                            residual, singularity_wavefunction, spectrum,
                            wavefunction_derivative, wavefunction_params,
                            wavefunction_value)
-from scarf_spectra.wavefunctions import jacobi_coeffs
 
 
 def test_jacobi_degree_zero_and_validation():
@@ -57,22 +55,16 @@ def test_jacobi_degenerate_recurrence_falls_back():
     assert np.max(np.abs(a - b)) < 1e-10
 
 
-def test_jacobi_coeffs_match_explicit_sum():
-    rng = np.random.default_rng(7)
-    # alpha + beta = -4 degenerates the recurrence, not the explicit sum
-    specs = [JacobiSpec(n, -1.0, -3.0) for n in range(9)]
-    specs += [JacobiSpec(n, -1.5 + 0.7j, -2.5 - 0.7j) for n in range(9)]
-    for _ in range(40):
-        specs.append(JacobiSpec(int(rng.integers(0, 9)),
-                                complex(rng.uniform(-3, 3), rng.uniform(-2, 2)),
-                                complex(rng.uniform(-3, 3), rng.uniform(-2, 2))))
-    ys = rng.uniform(-2, 2, 7) + 1j * rng.uniform(-2, 2, 7)
-    for spec in specs:
-        coeffs = jacobi_coeffs(spec)
-        assert coeffs.shape == (spec.n + 1,)
-        want = jacobi_explicit(spec, ys)
-        got = npoly.polyval(ys, coeffs)
-        assert np.all(np.abs(got - want) <= 1e-10 * (1.0 + np.abs(want))), spec
+def test_jacobi_near_degenerate_recurrence_keeps_its_digits():
+    # alpha + beta within 0.01 of -8 or -6: the recurrence would pass through
+    # nearly degree-reduced P_k and lose up to 12 digits
+    mp = pytest.importorskip("mpmath")
+    ys = [0.3 - 0.8j, -0.852 + 0.443j, 1.4]
+    for spec in (JacobiSpec(10, 5.524, -13.5217), JacobiSpec(7, 3.156 - 1.17j, -9.1531 + 1.17j)):
+        for y in ys:
+            with mp.workdps(30):
+                want = complex(mp.jacobi(spec.n, spec.alpha, spec.beta, y))
+            assert abs(jacobi_eval(spec, y) - want) < 1e-12 * abs(want), (spec, y)
 
 
 def test_jacobi_derivative_matches_differencing():
