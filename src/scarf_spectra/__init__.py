@@ -15,9 +15,8 @@ from .partner import (BRANCH_SIGNS, DegeneracyNote, PartnerBranch, PartnerKind,
                       partner_wavefunction, partner_wavefunction_closed,
                       solve_branch, superpotential, superpotential_derivative)
 from .spectrum import (LevelRecord, LocusPoint, SingularityReport,
-                       complex_spectrum, detect_singularity,
-                       matching_residuals, real_spectrum, singularity_locus,
-                       spectrum)
+                       detect_singularity, matching_residuals,
+                       singularity_locus, spectrum)
 from .verify import (REFERENCE_GRID, GridSpec, ScanPoint, ScatteringResult,
                      discrete_spectrum, jost_solutions, residual, scattering,
                      singularity_scan)
@@ -37,7 +36,7 @@ __all__ = [
     "QuadratureResult", "REFERENCE_GRID", "Regime", "RegimeError",
     "ScanPoint", "ScatteringResult", "SingularBranchError",
     "SingularityReport", "WavefunctionParams", "added_level_wavefunction",
-    "bound_state", "bound_state_derivative", "complex_spectrum",
+    "bound_state", "bound_state_derivative",
     "couplings_from_derived", "derive", "detect_singularity",
     "discrete_spectrum", "exceptional_jacobi", "extended_potential",
     "factorization_residuals", "factorizing_function", "gudermannian",
@@ -45,7 +44,7 @@ __all__ = [
     "log_sech",
     "matching_residuals", "partner_polynomial", "partner_singularity",
     "partner_spectrum", "partner_wavefunction", "partner_wavefunction_closed",
-    "potential_value", "pseudo_norm", "real_spectrum", "residual",
+    "potential_value", "pseudo_norm", "residual",
     "scattering", "singularity_locus", "singularity_scan",
     "singularity_wavefunction", "solve_branch", "spectrum", "superpotential",
     "superpotential_derivative", "wavefunction_derivative",

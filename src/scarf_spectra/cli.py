@@ -2,8 +2,9 @@
 
 Commands: spectrum, wavefunction, singularity, partner, scatter, verify.
 Output is deterministic: fixed key order, floats at 12 significant digits,
-complex numbers as {"re", "im"}.  Exit codes: 0 success, 2 bad arguments,
-3 domain/regime error, 4 numerical non-convergence or failed verification.
+complex numbers as {"re", "im"}.  Exit codes: 0 success, 2 bad arguments or an
+unwritable --out, 3 domain/regime error, 4 numerical non-convergence or failed
+verification.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 import os
 import sys
 import tempfile
-from typing import Optional
 
 import numpy as np
 
@@ -90,10 +90,8 @@ def _csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_output(text: str, path: Optional[str]):
-    if path is None:
-        sys.stdout.write(text)
-        return
+def _write_file(text: str, path: str):
+    """Write ``text`` to ``path`` atomically, through a temporary file."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".scarf-spectra-")
     try:
@@ -281,9 +279,15 @@ def _verify_checks(args: argparse.Namespace) -> list:
         record("matching-conditions",
                _worst(r for lv in levels for r in matching_residuals(lv, params).values()),
                1e-10)
-        record("wavefunction-residuals",
-               _worst(residual(potential, lambda x, _lv=lv: bound_state(_lv, x),
-                               lv.energy, grid) for lv in levels), 1e-6)
+        values, notes = [], []
+        for lv in levels:
+            try:
+                values.append(residual(potential, lambda x, _lv=lv: bound_state(_lv, x),
+                                       lv.energy, grid))
+            except DomainError as exc:
+                values.append(math.nan)
+                notes.append(f"n = {lv.n}, epsilon = {lv.epsilon:+d}: {exc}")
+        record("wavefunction-residuals", _worst(values), 1e-6, note=notes[0] if notes else "")
         numeric = discrete_spectrum(potential, grid, count=len(levels))
         gap = _worst(min((abs(complex(lv.energy) - z) for z in numeric), default=np.inf)
                      / (1.0 + abs(lv.energy)) for lv in levels)
@@ -372,20 +376,26 @@ def run(args: argparse.Namespace) -> int:
     """Execute one parsed command; returns the process exit status."""
     try:
         results, csv_payload = _COMMANDS[args.command][0](args)
-        if csv_payload is not None:
-            header, rows = csv_payload
-            text = _csv(header.split(","), rows)
-        else:
-            inputs = {key: getattr(args, key) for key in _INPUT_KEYS}
-            doc = {"schema": SCHEMA, "inputs": inputs, "results": results}
-            text = _dumps(doc) + "\n"
-        _write_output(text, args.out)
     except (DomainError, ValueError) as exc:
         _emit_error(exc)
         return 3
     except ConvergenceError as exc:
         _emit_error(exc)
         return 4
+    if csv_payload is not None:
+        header, rows = csv_payload
+        text = _csv(header.split(","), rows)
+    else:
+        inputs = {key: getattr(args, key) for key in _INPUT_KEYS}
+        text = _dumps({"schema": SCHEMA, "inputs": inputs, "results": results}) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        try:
+            _write_file(text, args.out)
+        except OSError as exc:
+            _emit_error(OSError(f"cannot write --out {args.out}: {exc.strerror or exc}"))
+            return 2
     if args.command == "verify" and not results["all_passed"]:
         return 4
     return 0

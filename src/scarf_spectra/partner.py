@@ -201,7 +201,7 @@ def partner_spectrum(branch: PartnerBranch, d: DerivedParams):
     edit's degeneracy note.
     """
     _check_branch_matches(branch, d)
-    levels = list(spectrum(d))
+    levels = spectrum(d)
     deleted = added = note = None
     if branch.eps_plus == 1:
         for i, lv in enumerate(levels):
@@ -213,16 +213,14 @@ def partner_spectrum(branch: PartnerBranch, d: DerivedParams):
                 del levels[i]
                 break
     else:
-        e_add = branch.factorization_energy
-        added = LevelRecord(n=0, epsilon=branch.eps_minus, energy=complex(e_add),
-                            wf=None, origin="susy-added")
-        levels.append(added)
         if d.regime is Regime.REAL_SPECTRUM and branch.eps_minus == 1:
             n_deg = round(2.0 * d.s) - 2
-            if (n_deg >= 0 and abs(2.0 * d.s - (n_deg + 2)) < _DEGENERACY_TOL * (1.0 + 2.0 * d.s)
-                    and n_deg < d.p + d.s - 0.5):
-                e_orig = -((d.p + d.s - n_deg - 0.5) ** 2)
-                note = DegeneracyNote(n=n_deg, energy=e_orig)
+            if abs(2.0 * d.s - (n_deg + 2)) < _DEGENERACY_TOL * (1.0 + 2.0 * d.s):
+                note = next((DegeneracyNote(n=n_deg, energy=lv.energy) for lv in levels
+                             if (lv.n, lv.epsilon) == (n_deg, 1)), None)
+        added = LevelRecord(n=0, epsilon=branch.eps_minus, wf=None, origin="susy-added",
+                            energy=complex(branch.factorization_energy))
+        levels.append(added)
     # real levels have Im E = 0, and the sort is stable
     levels.sort(key=lambda lv: (lv.energy.real, lv.energy.imag))
     return levels, PartnerSpectrumEdit(deleted=deleted, added=added, degeneracy=note)
@@ -306,12 +304,6 @@ def partner_wavefunction(branch: PartnerBranch, level: LevelRecord, x):
                    + superpotential(branch, x) * bound_state(level, x))
 
 
-def partner_series_count(d: DerivedParams, epsilon: int) -> float:
-    """Upper bound of the partner level index n for the (+, +) branch:
-    p + eps Re sigma - 1/2, with Re sigma = s, which is 0 past the boundary."""
-    return d.p + epsilon * d.s - 0.5
-
-
 def partner_wavefunction_closed(branch: PartnerBranch, d: DerivedParams,
                                 n: int, epsilon: int, x):
     """Closed rational form of the (+, +)-branch partner states.
@@ -320,18 +312,14 @@ def partner_wavefunction_closed(branch: PartnerBranch, d: DerivedParams,
                          * PP_{n,eps}(i sinh x) / B(i sinh x),
 
     with (xi, eta) = (-3/2 + p + sig, -i (p - sig)) for eps = +1 and
-    (-1/2 + p - sig, -i (p + sig - 1)) for eps = -1.  Other branches have no
-    published closed form; use :func:`partner_wavefunction` there.
+    (-1/2 + p - sig, -i (p + sig - 1)) for eps = -1.  (n, eps) must be a level
+    of ``partner_spectrum(branch, d)``.  Other branches have no published
+    closed form; use :func:`partner_wavefunction` there.
     """
     if (branch.eps_plus, branch.eps_minus) != (1, 1):
         raise DomainError("closed partner states are implemented for the (+, +) branch only")
-    _check_branch_matches(branch, d)
-    if epsilon not in (-1, 1):
-        raise DomainError(f"epsilon must be +1 or -1, got {epsilon}")
-    if n < 0 or not n < partner_series_count(d, epsilon):
-        raise DomainError(f"partner level n = {n} outside the eps = {epsilon:+d} series")
-    if epsilon == 1 and n == 1:
-        raise DomainError("n = 1 is the level deleted by the (+, +) branch")
+    if not any((lv.n, lv.epsilon) == (n, epsilon) for lv in partner_spectrum(branch, d)[0]):
+        raise DomainError(f"(n, eps) = ({n}, {epsilon}) is no level of the (+, +) partner")
     sig = d.sigma
     p = complex(d.p)
     if epsilon == 1:

@@ -69,33 +69,20 @@ def _series(d: DerivedParams, sig) -> list[LevelRecord]:
     return levels
 
 
-def real_spectrum(d: DerivedParams) -> list[LevelRecord]:
-    """Both quasi-parity series in the real regime, sorted by energy."""
-    if d.regime is not Regime.REAL_SPECTRUM:
-        raise RegimeError(f"real_spectrum requires the real-spectrum regime, got {d.regime.value}")
-    # sigma = s, passed as a float so that lam and the energies stay real
-    levels = _series(d, d.s)
-    levels.sort(key=lambda lv: lv.energy.real)
-    return levels
-
-
-def complex_spectrum(d: DerivedParams) -> list[LevelRecord]:
-    """Conjugate-pair spectrum in the broken-PT regime, sorted by (n, eps)."""
-    if d.regime is not Regime.COMPLEX_SPECTRUM:
-        raise RegimeError(
-            f"complex_spectrum requires the complex-spectrum regime, got {d.regime.value}")
-    levels = _series(d, d.sigma)
-    levels.sort(key=lambda lv: (lv.n, lv.epsilon))
-    return levels
-
-
 def spectrum(d: DerivedParams) -> list[LevelRecord]:
-    """Dispatch on regime; the boundary is classified but not solvable here."""
+    """Every bound level of V, sorted by energy in the real regime
+    (sigma = s) and by (n, eps) in the complex one (sigma = i q).  The
+    boundary is classified but not solvable here (``RegimeError``)."""
     if d.regime is Regime.REAL_SPECTRUM:
-        return real_spectrum(d)
-    if d.regime is Regime.COMPLEX_SPECTRUM:
-        return complex_spectrum(d)
-    raise RegimeError("spectrum is not provided on the regime boundary |v2| = v1 + 1/4")
+        # sigma = s, passed as a float so that lam and the energies stay real
+        levels = _series(d, d.s)
+        levels.sort(key=lambda lv: lv.energy.real)
+    elif d.regime is Regime.COMPLEX_SPECTRUM:
+        levels = _series(d, d.sigma)
+        levels.sort(key=lambda lv: (lv.n, lv.epsilon))
+    else:
+        raise RegimeError("spectrum is not provided on the regime boundary |v2| = v1 + 1/4")
+    return levels
 
 
 # ============================================================================

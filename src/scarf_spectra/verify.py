@@ -88,6 +88,13 @@ _MAX_DEGREE = 424
 _DRIFT_TOL = 1e-7
 
 
+def _check_finite(name: str, values: np.ndarray, x: np.ndarray):
+    """Raise ``DomainError`` naming the smallest x where ``values`` is not finite."""
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        raise DomainError(f"{name} is not finite at x = {np.min(x[bad]):.6g}")
+
+
 def _sorted_levels(levels: list) -> list:
     """Levels sorted by Re; a run of levels whose real parts agree within
     1e-8 (1 + |z|) is ordered by Im, lowest first."""
@@ -133,9 +140,7 @@ def _mapped_eigvals(potential: Callable, half_width: float, n: int):
     box = np.abs(x) <= half_width
     v = np.zeros(n - 1, dtype=complex)
     v[box] = np.asarray(potential(x[box]), dtype=complex)
-    if not np.all(np.isfinite(v)):
-        bad = x[box][~np.isfinite(v[box])][0]
-        raise DomainError(f"potential is not finite at x = {bad:.6g}")
+    _check_finite("potential", v, x)
     lap = -gd[1:-1] @ gd[:, 1:-1]
     if np.array_equal(v[::-1], v.conj()):
         return np.linalg.eigvals(lap + np.diag(v.real) - np.diag(v.imag)[:, ::-1]), True
@@ -289,8 +294,9 @@ def _segment_propagators(potential: Callable, k2: float, nodes: np.ndarray,
     for lo, hi, n in zip(nodes[:-1], nodes[1:], counts):
         h = (hi - lo) / n
         mid = np.arange(n) + 0.5
-        v = np.asarray(potential(lo + h * np.concatenate(
-            (mid - _GAUSS_OFFSET, mid + _GAUSS_OFFSET))), dtype=complex) - k2
+        x = lo + h * np.concatenate((mid - _GAUSS_OFFSET, mid + _GAUSS_OFFSET))
+        v = np.asarray(potential(x), dtype=complex) - k2
+        _check_finite("potential", v, x)
         m = (1.0, 0.0, 0.0, 1.0)
         for j in range(0, n, _BLOCK):
             end = min(j + _BLOCK, n)
@@ -335,7 +341,8 @@ def jost_solutions(potential: Callable, k: float, grid: GridSpec, x_eval):
     f-, f-' with its own max|f|; that difference estimates the error of the
     earlier extrapolation, and the later one is returned.  If it is not
     reached within ``_MAX_STEPS`` steps a ``ConvergenceError`` names k and
-    the estimate.  ``potential`` is called with arrays only.  Every
+    the estimate.  ``potential`` is called with arrays only; a sample that
+    is not finite raises ``DomainError`` naming its x.  Every
     propagator has determinant 1, so the Wronskian fp*dfm - dfp*fm is
     constant in x up to roundoff and the extrapolation error.  Each call
     logs one DEBUG record on the ``scarf_spectra`` logger with k, the final
@@ -535,7 +542,8 @@ def residual(potential: Callable, psi: Callable, energy: complex,
 
     D2 is the eighth-order central finite-difference Laplacian
     (``_D2_STENCIL``); its truncation error sits near roundoff for smooth
-    states on the reference grid.
+    states on the reference grid.  A result that is not finite raises
+    ``DomainError`` naming the smallest x where psi, or V inside, is not finite.
     """
     xs = grid.points()
     f = np.asarray(psi(xs), dtype=complex)
@@ -551,4 +559,9 @@ def residual(potential: Callable, psi: Callable, energy: complex,
     peak = np.max(np.abs(f))
     if peak == 0.0:
         raise DomainError("psi vanishes identically on the grid")
-    return float(res / peak)
+    out = float(res / peak)
+    if not math.isfinite(out):
+        # each sample of psi and V[inner] enters res: a finite result needs no scan
+        _check_finite("psi", f, xs)
+        _check_finite("potential", v[inner], xs[inner])
+    return out

@@ -12,13 +12,13 @@ import numpy as np
 
 from scarf_spectra import (BRANCH_SIGNS, CouplingParams, GridSpec,
                            JacobiSpec, REFERENCE_GRID, added_level_wavefunction,
-                           bound_state, complex_spectrum, derive,
+                           bound_state, derive,
                            detect_singularity, discrete_spectrum,
                            extended_potential, factorization_residuals,
                            factorizing_function, jacobi_eval, jacobi_explicit,
                            matching_residuals, partner_singularity,
                            partner_spectrum, partner_wavefunction_closed,
-                           potential_value, pseudo_norm, real_spectrum, residual,
+                           potential_value, pseudo_norm, residual,
                            scattering, singularity_scan, singularity_wavefunction,
                            solve_branch, spectrum, wavefunction_params)
 from scarf_spectra.params import Regime
@@ -40,7 +40,7 @@ def _pot(params):
 def test_criterion_01_real_regime_spectrum_vs_numeric():
     start = time.perf_counter()
     params = CouplingParams(12.0, 6.0)
-    analytic = [lv.energy for lv in real_spectrum(derive(params))]
+    analytic = [lv.energy for lv in spectrum(derive(params))]
     numeric = discrete_spectrum(_pot(params), REFERENCE_GRID, len(analytic))
     elapsed = time.perf_counter() - start
     worst = max(abs(num - ana) for num, ana in zip(numeric, analytic))
@@ -52,7 +52,7 @@ def test_criterion_01_real_regime_spectrum_vs_numeric():
 def test_criterion_02_complex_regime_spectrum_vs_numeric():
     start = time.perf_counter()
     params = CouplingParams(1.0, 5.0)
-    analytic = sorted((lv.energy for lv in complex_spectrum(derive(params))),
+    analytic = sorted((lv.energy for lv in spectrum(derive(params))),
                       key=lambda z: (z.real, z.imag))
     numeric = discrete_spectrum(_pot(params), REFERENCE_GRID, 2)
     elapsed = time.perf_counter() - start
@@ -244,7 +244,7 @@ def test_criterion_10_degeneracy_condition():
     d = derive(params)
     branch = solve_branch(d, -1, 1)
     _, edit = partner_spectrum(branch, d)
-    e0_plus = real_spectrum(d)[0].energy.real
+    e0_plus = spectrum(d)[0].energy.real
     analytic_gap = abs(complex(edit.added.energy).real - e0_plus)
     ok = edit.degeneracy is not None and analytic_gap < 1e-9
 
@@ -252,7 +252,7 @@ def test_criterion_10_degeneracy_condition():
     # mean sits on the analytic energy, next to the untouched n=1 level
     vext = lambda x: extended_potential(branch, params, x)
     numeric = discrete_spectrum(vext, REFERENCE_GRID, 3)
-    e1_plus = real_spectrum(d)[1].energy.real
+    e1_plus = spectrum(d)[1].energy.real
     pair = sorted(numeric, key=lambda z: abs(z - e0_plus))[:2]
     ok = ok and len(numeric) == 3
     ok = ok and all(abs(z - e0_plus) < 0.05 for z in pair)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import scarf_spectra.cli as cli
-from scarf_spectra import (CouplingParams, bound_state, derive, real_spectrum,
+from scarf_spectra import (ConvergenceError, CouplingParams, bound_state, derive,
                            spectrum)
 from scarf_spectra.cli import main
 
@@ -28,7 +28,7 @@ def test_spectrum_json_document(capsys):
     assert doc["inputs"]["v1"] == 12 and doc["inputs"]["v2"] == 6
     levels = doc["results"]["levels"]
     assert len(levels) == 4
-    analytic = real_spectrum(derive(CouplingParams(12.0, 6.0)))
+    analytic = spectrum(derive(CouplingParams(12.0, 6.0)))
     for got, lv in zip(levels, analytic):
         assert got["n"] == lv.n and got["epsilon"] == lv.epsilon
         assert got["energy"]["re"] == pytest.approx(lv.energy.real, rel=1e-11)
@@ -137,7 +137,7 @@ def test_wavefunction_csv(capsys):
     assert "\r" not in out
     x0, re0, im0, a0 = (float(v) for v in lines[3].split(","))
     assert x0 == 0.0
-    lv = real_spectrum(derive(CouplingParams(12.0, 6.0)))[0]
+    lv = spectrum(derive(CouplingParams(12.0, 6.0)))[0]
     val = bound_state(lv, 0.0)
     assert re0 == pytest.approx(val.real, rel=1e-11)
     assert im0 == pytest.approx(val.imag, abs=1e-11)
@@ -151,7 +151,7 @@ def test_wavefunction_json_round_trip(capsys):
     assert code == 0
     doc = json.loads(out)
     xs = np.array(doc["results"]["x"])
-    lv = real_spectrum(derive(CouplingParams(12.0, 6.0)))[0]
+    lv = spectrum(derive(CouplingParams(12.0, 6.0)))[0]
     vals = bound_state(lv, xs)
     assert np.max(np.abs(np.array(doc["results"]["psi_re"]) - vals.real)) < 1e-10
 
@@ -200,6 +200,10 @@ def test_exit_2_on_bad_arguments(capsys):
         ["verify", "--v1", "12", "--v2", "6", "--points", "199"],
         # argparse drops the value "--", which only --branch takes
         ["wavefunction", "--v1", "12", "--v2", "6", "--n", "0", "--epsilon=--"],
+        ["scatter", "--v1", "1", "--v2", "5", "--k-min", "0.5", "--k-max", "1.5",
+         "--k-steps", "0"],
+        ["wavefunction", "--v1", "12", "--v2", "6", "--n", "0", "--epsilon", "+",
+         "--points", "1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -220,6 +224,17 @@ def test_exit_3_domain_errors(capsys):
         assert doc["schema"] == "scarf-spectra/1"
         assert doc["error"]["type"] in ("DomainError", "RegimeError")
         assert doc["error"]["message"]
+
+
+def test_exit_4_on_convergence_error(capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ConvergenceError("Jost integration at k = 1 did not converge")
+    monkeypatch.setattr(cli, "scattering", no_convergence)
+    code, out, err = _run(capsys, ["scatter", "--v1", "1", "--v2", "5", "--k-min", "0.9",
+                                   "--k-max", "1.1"])
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "ConvergenceError", "message": "Jost integration at k = 1 did not converge"}
 
 
 def test_partner_all_branches_with_singular_entry(capsys):
@@ -316,6 +331,20 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["levels.json"]  # no temp residue
 
 
+def test_out_path_that_cannot_be_written_exits_2(tmp_path, capsys):
+    (tmp_path / "a-directory").mkdir()
+    for path in (tmp_path / "missing" / "x.json", tmp_path / "a-directory"):
+        code, out, err = _run(capsys, ["spectrum", "--v1", "12", "--v2", "6",
+                                       "--out", str(path)])
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["error"]["type"] == "OSError"
+        assert doc["error"]["message"].startswith(f"cannot write --out {path}: ")
+        assert ".scarf-spectra-" not in doc["error"]["message"]
+    assert list(tmp_path.rglob(".scarf-spectra-*")) == []
+    assert [p.name for p in tmp_path.iterdir()] == ["a-directory"]
+
+
 def test_verify_command_passes(capsys):
     code, out, _ = _run(capsys, ["verify", "--v1", "12", "--v2", "6"])
     assert code == 0
@@ -358,6 +387,34 @@ def test_verify_passes_where_a_box_solver_failed(capsys, v1, v2):
     row = {c["name"]: c for c in doc["results"]["checks"]}["analytic-vs-numeric-levels"]
     assert row["passed"] and row["value"] < 1e-6
     assert code == 0 and doc["results"]["all_passed"] is True
+
+
+@pytest.mark.parametrize("v1, v2, rows", [
+    (6.0, 6.25, [("potential-pt-symmetry", ""),
+                 ("spectrum", "regime boundary: spectral checks skipped")]),
+    (0.1, 0.5, [("potential-pt-symmetry", ""), ("spectrum", "no bound levels"),
+                ("factorization-++", ""), ("factorization-+-", ""),
+                ("factorization--+", ""), ("factorization---", "")]),
+    (12.0, -6.0, [("potential-pt-symmetry", ""), ("matching-conditions", ""),
+                  ("wavefunction-residuals", ""), ("analytic-vs-numeric-levels", "4 levels"),
+                  ("factorization", "v2 < 0: partner checks skipped")]),
+])
+def test_verify_skipped_checks(capsys, v1, v2, rows):
+    code, out, _ = _run(capsys, ["verify", "--v1", str(v1), "--v2", str(v2)])
+    checks = json.loads(out)["results"]["checks"]
+    assert [(c["name"], c["note"]) for c in checks] == rows
+    assert code == 0 and all(c["passed"] for c in checks)
+
+
+def test_verify_names_the_level_whose_state_is_not_finite(capsys):
+    # 8 of the 50 closed-form states of (2000, 500) are NaN at |x| = 20
+    # (P_n(i sinh x) overflows where sech^lam underflows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, _ = _run(capsys, ["verify", "--v1", "2000", "--v2", "500"])
+    assert code == 4
+    row = {c["name"]: c for c in json.loads(out)["results"]["checks"]}["wavefunction-residuals"]
+    assert row["passed"] is False and row["value"] == "nan"
+    assert row["note"] == "n = 36, epsilon = +1: psi is not finite at x = -20"
 
 
 def test_verify_nan_residual_fails_its_check(capsys, monkeypatch):

@@ -25,3 +25,14 @@ def test_modules_use_every_name_they_import():
     assert modules
     unused = {p.name: _unused_imports(ast.parse(p.read_text(), str(p))) for p in modules}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_public_names_are_the_imported_names():
+    # __all__ lists each name __init__.py imports, once, and nothing else
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    exported = scarf_spectra.__all__
+    assert len(exported) == len(set(exported))
+    assert all(hasattr(scarf_spectra, name) for name in exported)
+    assert set(exported) == imported

@@ -7,17 +7,16 @@ import pytest
 from scarf_spectra import (BRANCH_SIGNS, CouplingParams, DomainError,
                            GridSpec, LevelRecord, PartnerBranch, PartnerKind,
                            PoleError, REFERENCE_GRID, RegimeError, SingularBranchError,
-                           added_level_wavefunction, bound_state, complex_spectrum,
+                           added_level_wavefunction, bound_state,
                            derive, detect_singularity, exceptional_jacobi,
                            extended_potential, factorization_residuals,
                            factorizing_function, partner_polynomial,
                            partner_singularity, partner_spectrum,
                            partner_wavefunction, partner_wavefunction_closed,
-                           potential_value, real_spectrum, residual, solve_branch,
+                           potential_value, residual, solve_branch,
                            spectrum, superpotential, superpotential_derivative,
                            wavefunction_derivative, wavefunction_params,
                            wavefunction_value)
-from scarf_spectra.partner import partner_series_count
 
 REAL_D = derive(CouplingParams(12.0, 6.0))
 COMPLEX_D = derive(CouplingParams(1.0, 5.0))
@@ -41,7 +40,7 @@ def test_solve_branch_real_frozen():
     assert br.factorization_energy == pytest.approx(-3.556999531835308604, abs=1e-12)
     assert isinstance(br.a, float) and isinstance(br.c, float)
     # factorization energy is the n=1 eps=+1 level
-    e1 = [lv.energy for lv in real_spectrum(REAL_D) if (lv.n, lv.epsilon) == (1, 1)][0]
+    e1 = [lv.energy for lv in spectrum(REAL_D) if (lv.n, lv.epsilon) == (1, 1)][0]
     assert br.factorization_energy == pytest.approx(e1.real, abs=1e-12)
 
 
@@ -213,7 +212,7 @@ def test_factorizing_function_origin_value():
 
 def test_factorizing_function_is_first_excited_state():
     br = solve_branch(REAL_D, 1, 1)
-    lv = [x for x in real_spectrum(REAL_D) if (x.n, x.epsilon) == (1, 1)][0]
+    lv = [x for x in spectrum(REAL_D) if (x.n, x.epsilon) == (1, 1)][0]
     xs = np.linspace(-6.0, 6.0, 81)
     ratio = factorizing_function(br, xs) / bound_state(lv, xs)
     assert _flatness(ratio) < 1e-10
@@ -311,7 +310,7 @@ def test_added_level_ordering_small_s():
         d = derive(CouplingParams(v1, v2))
         assert d.s < 1.0
         br = solve_branch(d, -1, 1)
-        plus = [lv.energy.real for lv in real_spectrum(d) if lv.epsilon == 1]
+        plus = [lv.energy.real for lv in spectrum(d) if lv.epsilon == 1]
         assert complex(br.factorization_energy).real < min(plus)
 
 
@@ -398,7 +397,7 @@ def test_partner_closed_states_solve_extended_equation():
     params = CouplingParams(12.0, 6.0)
     br = solve_branch(REAL_D, 1, 1)
     pot = _vext_callable(br, params)
-    levels = {(lv.n, lv.epsilon): lv for lv in real_spectrum(REAL_D)}
+    levels = {(lv.n, lv.epsilon): lv for lv in spectrum(REAL_D)}
     for n, eps in ((0, 1), (2, 1), (0, -1)):
         psi = lambda x, _n=n, _e=eps: partner_wavefunction_closed(br, REAL_D, _n, _e, x)
         res = residual(pot, psi, levels[(n, eps)].energy, GridSpec(20.0, 4001))
@@ -411,7 +410,7 @@ def test_partner_x1_state_high_accuracy():
     params = CouplingParams(12.0, 6.0)
     br = solve_branch(REAL_D, 1, 1)
     pot = _vext_callable(br, params)
-    lv = [x for x in real_spectrum(REAL_D) if (x.n, x.epsilon) == (0, -1)][0]
+    lv = [x for x in spectrum(REAL_D) if (x.n, x.epsilon) == (0, -1)][0]
     psi = lambda x: partner_wavefunction_closed(br, REAL_D, 0, -1, x)
     assert residual(pot, psi, lv.energy, GridSpec(20.0, 4001)) < 1e-8
 
@@ -420,7 +419,7 @@ def test_partner_closed_states_complex_regime():
     params = CouplingParams(1.0, 5.0)
     br = solve_branch(COMPLEX_D, 1, 1)
     pot = _vext_callable(br, params)
-    for lv in complex_spectrum(COMPLEX_D):
+    for lv in spectrum(COMPLEX_D):
         psi = lambda x, _lv=lv: partner_wavefunction_closed(br, COMPLEX_D, _lv.n,
                                                             _lv.epsilon, x)
         res = residual(pot, psi, lv.energy, GridSpec(20.0, 4001))
@@ -429,7 +428,7 @@ def test_partner_closed_states_complex_regime():
 
 def test_partner_intertwined_matches_closed_form():
     br = solve_branch(REAL_D, 1, 1)
-    lv = [x for x in real_spectrum(REAL_D) if (x.n, x.epsilon) == (0, 1)][0]
+    lv = [x for x in spectrum(REAL_D) if (x.n, x.epsilon) == (0, 1)][0]
     xs = np.linspace(-5.0, 5.0, 101)
     ratio = partner_wavefunction(br, lv, xs) / partner_wavefunction_closed(
         br, REAL_D, 0, 1, xs)
@@ -438,7 +437,7 @@ def test_partner_intertwined_matches_closed_form():
 
 def test_partner_wavefunction_deleted_level_error():
     br = solve_branch(REAL_D, 1, 1)
-    lv = [x for x in real_spectrum(REAL_D) if (x.n, x.epsilon) == (1, 1)][0]
+    lv = [x for x in spectrum(REAL_D) if (x.n, x.epsilon) == (1, 1)][0]
     with pytest.raises(DomainError):
         partner_wavefunction(br, lv, 0.0)
     with pytest.raises(DomainError):
@@ -642,9 +641,7 @@ FROZEN_X1 = {
 
 
 def _closed_partner_indices(d):
-    return [(n, eps) for eps in (1, -1)
-            for n in range(math.ceil(partner_series_count(d, eps)))
-            if (n, eps) != (1, 1)]
+    return [(lv.n, lv.epsilon) for lv in spectrum(d) if (lv.n, lv.epsilon) != (1, 1)]
 
 
 @pytest.mark.parametrize("v1, v2", sorted(FROZEN_PARTNER_STATES))

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from scarf_spectra import (CouplingParams, DomainError, Regime, RegimeError,
-                           complex_spectrum, derive, detect_singularity,
-                           matching_residuals, real_spectrum, singularity_locus,
-                           spectrum)
+                           derive, detect_singularity, matching_residuals,
+                           singularity_locus, spectrum)
 from scarf_spectra.spectrum import _series_count
 
 REAL_LEVELS_12_6 = {
@@ -19,7 +18,7 @@ REAL_LEVELS_12_6 = {
 
 def test_real_spectrum_frozen_levels():
     d = derive(CouplingParams(12.0, 6.0))
-    levels = real_spectrum(d)
+    levels = spectrum(d)
     assert {(lv.n, lv.epsilon) for lv in levels} == set(REAL_LEVELS_12_6)
     for lv in levels:
         assert lv.energy.imag == 0.0
@@ -33,7 +32,7 @@ def test_real_spectrum_wf_parameters_match_quasi_parity_forms():
     # alpha = -(1+nu) eps s - (1-nu) p and beta = -(1+nu) p - (1-nu) eps s
     for v2 in (6.0, -6.0):
         d = derive(CouplingParams(12.0, v2))
-        for lv in real_spectrum(d):
+        for lv in spectrum(d):
             al = -(1 + d.nu) * lv.epsilon * d.s - (1 - d.nu) * d.p
             be = -(1 + d.nu) * d.p - (1 - d.nu) * lv.epsilon * d.s
             assert lv.wf.alpha == pytest.approx(al, abs=1e-12)
@@ -46,14 +45,14 @@ def test_real_spectrum_wf_parameters_match_quasi_parity_forms():
 def test_real_spectrum_empty_minus_series():
     d = derive(CouplingParams(6.0, 2.0))
     assert d.p - d.s == pytest.approx(0.40536425523009202751, abs=1e-14)
-    levels = real_spectrum(d)
+    levels = spectrum(d)
     assert all(lv.epsilon == 1 for lv in levels)
     assert [lv.n for lv in levels] == [0, 1]
 
 
 def test_negative_v2_same_energies():
-    pos = real_spectrum(derive(CouplingParams(12.0, 6.0)))
-    neg = real_spectrum(derive(CouplingParams(12.0, -6.0)))
+    pos = spectrum(derive(CouplingParams(12.0, 6.0)))
+    neg = spectrum(derive(CouplingParams(12.0, -6.0)))
     for a, b in zip(pos, neg):
         assert (a.n, a.epsilon) == (b.n, b.epsilon)
         assert a.energy == pytest.approx(b.energy, abs=1e-14)
@@ -62,7 +61,7 @@ def test_negative_v2_same_energies():
 
 def test_complex_spectrum_frozen_pair():
     d = derive(CouplingParams(1.0, 5.0))
-    levels = complex_spectrum(d)
+    levels = spectrum(d)
     assert [(lv.n, lv.epsilon) for lv in levels] == [(0, -1), (0, 1)]
     minus, plus = levels
     assert plus.energy == pytest.approx(0.375 - 1.4523687548277813319j, abs=1e-12)
@@ -74,16 +73,10 @@ def test_complex_spectrum_empty_when_p_small():
     d = derive(CouplingParams(0.1, 0.5))
     assert d.regime is Regime.COMPLEX_SPECTRUM
     assert d.p == pytest.approx(0.4609772228646443655, abs=1e-14)
-    assert complex_spectrum(d) == []
+    assert spectrum(d) == []
 
 
 def test_regime_mismatch_errors():
-    real_d = derive(CouplingParams(12.0, 6.0))
-    complex_d = derive(CouplingParams(1.0, 5.0))
-    with pytest.raises(RegimeError):
-        complex_spectrum(real_d)
-    with pytest.raises(RegimeError):
-        real_spectrum(complex_d)
     with pytest.raises(RegimeError):
         spectrum(derive(CouplingParams(1.0, 1.25)))
 
@@ -100,7 +93,7 @@ def test_real_monotonicity_random():
         if d.regime is not Regime.REAL_SPECTRUM:
             continue
         for eps in (1, -1):
-            series = [lv.energy.real for lv in real_spectrum(d) if lv.epsilon == eps]
+            series = [lv.energy.real for lv in spectrum(d) if lv.epsilon == eps]
             series_by_n = sorted(series)
             assert series_by_n == series or len(series) <= 1
             for lo, hi in zip(series_by_n, series_by_n[1:]):
@@ -117,7 +110,7 @@ def test_complex_conjugation_random():
         d = derive(CouplingParams(v1, v2))
         if d.regime is not Regime.COMPLEX_SPECTRUM:
             continue
-        levels = {(lv.n, lv.epsilon): lv.energy for lv in complex_spectrum(d)}
+        levels = {(lv.n, lv.epsilon): lv.energy for lv in spectrum(d)}
         for (n, eps), e in levels.items():
             assert e == pytest.approx(np.conj(levels[(n, -eps)]), abs=1e-12)
         checked += 1
@@ -182,7 +175,7 @@ def test_collapse_toward_locus():
     last = None
     for delta in (0.4, 0.2, 0.1, 0.05, 0.025):
         d = derive(CouplingParams(2.0, 6.75 + delta))
-        pair = [lv for lv in complex_spectrum(d) if lv.n == 1]
+        pair = [lv for lv in spectrum(d) if lv.n == 1]
         gap = max(abs(lv.energy.imag) for lv in pair)
         if last is not None:
             assert gap < last
@@ -195,7 +188,7 @@ def test_collapse_toward_locus():
 def test_marginal_level_excluded_from_bound_list():
     # on the locus p - 1/2 = n* exactly; the n = n* level is not a bound state
     d = derive(CouplingParams(2.0, 6.75))
-    assert max(lv.n for lv in complex_spectrum(d)) == 0
+    assert max(lv.n for lv in spectrum(d)) == 0
 
 
 def test_singularity_locus_samples():

@@ -9,10 +9,9 @@ import scarf_spectra.verify as verify_module
 
 from scarf_spectra import (BRANCH_SIGNS, ConvergenceError, CouplingParams,
                            DomainError, GridSpec, REFERENCE_GRID, bound_state,
-                           complex_spectrum, derive, discrete_spectrum,
-                           extended_potential, jost_solutions, potential_value,
-                           real_spectrum, residual, scattering, singularity_scan,
-                           solve_branch, spectrum)
+                           derive, discrete_spectrum, extended_potential,
+                           jost_solutions, potential_value, residual, scattering,
+                           singularity_scan, solve_branch, spectrum)
 
 PARAMS_REAL = CouplingParams(12.0, 6.0)
 PARAMS_COMPLEX = CouplingParams(1.0, 5.0)
@@ -58,7 +57,7 @@ def test_gridspec_validation():
 def test_discrete_spectrum_real_levels():
     got = discrete_spectrum(_pot(PARAMS_REAL), REFERENCE_GRID, 4)
     assert len(got) == 4
-    analytic = [lv.energy for lv in real_spectrum(derive(PARAMS_REAL))]
+    analytic = [lv.energy for lv in spectrum(derive(PARAMS_REAL))]
     for num, ana in zip(got, analytic):
         assert abs(num - ana) < 1e-3
         assert abs(num.imag) < 1e-6
@@ -67,7 +66,7 @@ def test_discrete_spectrum_real_levels():
 def test_discrete_spectrum_complex_pair():
     got = discrete_spectrum(_pot(PARAMS_COMPLEX), REFERENCE_GRID, 2)
     assert len(got) == 2
-    analytic = sorted((lv.energy for lv in complex_spectrum(derive(PARAMS_COMPLEX))),
+    analytic = sorted((lv.energy for lv in spectrum(derive(PARAMS_COMPLEX))),
                       key=lambda z: (z.real, z.imag))
     for num, ana in zip(got, analytic):
         assert abs(num.real - ana.real) < 1e-3
@@ -87,7 +86,7 @@ def test_discrete_spectrum_grid_convergence():
     # Chebyshev collocation on the mapped line converges spectrally: at the
     # degree the drift test accepts, every level of (12, 6) sits on the
     # closed form to near roundoff
-    analytic = [lv.energy for lv in real_spectrum(derive(PARAMS_REAL))]
+    analytic = [lv.energy for lv in spectrum(derive(PARAMS_REAL))]
     got = discrete_spectrum(_pot(PARAMS_REAL), REFERENCE_GRID, 4)
     assert len(got) == 4
     for num, ana in zip(got, analytic):
@@ -98,7 +97,7 @@ def test_discrete_spectrum_deep_well_finds_every_level():
     # (400, 100) has 23 levels, the shallowest with a decay length near the
     # box half-width; a box solver lost or misplaced several of them
     params = CouplingParams(400.0, 100.0)
-    analytic = sorted((lv.energy for lv in real_spectrum(derive(params))),
+    analytic = sorted((lv.energy for lv in spectrum(derive(params))),
                       key=lambda z: z.real)
     got = discrete_spectrum(_pot(params), REFERENCE_GRID, 23)
     assert len(analytic) == len(got) == 23
@@ -135,7 +134,7 @@ def test_discrete_spectrum_unresolved_levels_stop_at_cap(caplog):
     # successive degrees: N grows to the cap and only the resolved levels
     # come back
     params = CouplingParams(8.0, -20.0)
-    analytic = [lv.energy for lv in complex_spectrum(derive(params))]
+    analytic = [lv.energy for lv in spectrum(derive(params))]
     got, (tried, kept, drifted, continuum, returned) = _debug_record(
         caplog, lambda: discrete_spectrum(_pot(params), REFERENCE_GRID, len(analytic)))
     assert len(analytic) == 6 and len(got) == returned == kept == 4
@@ -210,7 +209,7 @@ def test_discrete_spectrum_near_the_pt_boundary():
     # (100, 90) has 13 real levels; 5 come back, the error of the fifth-lowest
     # grows from 2e-8 at N = 126 to 6e-7 at N = 424
     params = CouplingParams(100.0, 90.0)
-    levels = sorted((complex(lv.energy) for lv in real_spectrum(derive(params))),
+    levels = sorted((complex(lv.energy) for lv in spectrum(derive(params))),
                     key=lambda z: z.real)
     got = discrete_spectrum(_pot(params), REFERENCE_GRID, len(levels))
     assert len(levels) == len(got) == 13
@@ -317,6 +316,23 @@ def test_discrete_spectrum_non_finite_potential_is_a_domain_error():
     outside = lambda x: pot(x, np.nan, lambda x: np.abs(x) > REFERENCE_GRID.half_width)
     assert discrete_spectrum(outside, REFERENCE_GRID, 4) == discrete_spectrum(
         _pot(PARAMS_REAL), REFERENCE_GRID, 4)
+
+
+def test_scattering_non_finite_potential_is_a_domain_error():
+    # a NaN or inf sample of V is a domain error naming x, as in
+    # discrete_spectrum; a product that overflows from finite samples stays a
+    # ConvergenceError
+    def pot(x, bad):
+        x = np.asarray(x, dtype=float)
+        return np.where(np.abs(x - 1.0) < 0.5, bad, potential_value(PARAMS_REAL, x))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="potential is not finite at x = ") as exc:
+            scattering(lambda x: pot(x, bad), 1.0, REFERENCE_GRID)
+        assert 0.5 < float(str(exc.value).rsplit(" ", 1)[1]) < 1.5
+    barrier = lambda x: np.where(np.abs(x) < 1.0, 1e6, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError, match="is not finite"):
+            scattering(barrier, 1.0, REFERENCE_GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +587,7 @@ def test_singularity_scan_validation():
 # ---------------------------------------------------------------------------
 
 def test_residual_analytic_state_small():
-    lv = real_spectrum(derive(PARAMS_REAL))[0]
+    lv = spectrum(derive(PARAMS_REAL))[0]
     psi = lambda x: bound_state(lv, x)
     assert residual(_pot(PARAMS_REAL), psi, lv.energy, REFERENCE_GRID) < 1e-9
 
@@ -588,3 +604,8 @@ def test_residual_rejects_noise():
 def test_residual_validation():
     with pytest.raises(DomainError):
         residual(_pot(PARAMS_REAL), lambda x: np.zeros_like(x), 0.0, REFERENCE_GRID)
+    # a non-finite sample is named, not returned as a NaN residual
+    lv = spectrum(derive(PARAMS_REAL))[0]
+    nan_tail = lambda x: np.where(x < -19.0, np.nan, bound_state(lv, x))
+    with pytest.raises(DomainError, match="psi is not finite at x = -20$"):
+        residual(_pot(PARAMS_REAL), nan_tail, lv.energy, REFERENCE_GRID)
