@@ -18,7 +18,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SingularBranchError
+from .errors import ConvergenceError, DomainError, SingularBranchError, check_finite
 from .params import CouplingParams, Regime, derive, potential_value
 from .partner import (BRANCH_SIGNS, PartnerBranch, extended_potential,
                       factorization_residuals, partner_spectrum, solve_branch)
@@ -147,6 +147,7 @@ def _cmd_wavefunction(args: argparse.Namespace):
             f"no bound level n={args.n}, epsilon={args.epsilon} for these couplings")
     xs = np.linspace(-args.domain, args.domain, args.points or 401)
     vals = bound_state(target, xs)
+    check_finite("psi", vals, xs)
     if args.format == "csv":
         rows = [(x, v.real, v.imag, abs(v)) for x, v in zip(xs, vals)]
         return None, ("x,psi_re,psi_im,psi_abs", rows)
@@ -373,9 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args: argparse.Namespace) -> int:
-    """Execute one parsed command; returns the process exit status."""
+    """Execute one parsed command, NumPy warnings silenced (a non-finite value
+    that reaches a result is a named error); returns the exit status."""
     try:
-        results, csv_payload = _COMMANDS[args.command][0](args)
+        with np.errstate(all="ignore"):
+            results, csv_payload = _COMMANDS[args.command][0](args)
     except (DomainError, ValueError) as exc:
         _emit_error(exc)
         return 3

@@ -12,16 +12,16 @@ of V are exactly PT-symmetric and complex otherwise, with
 Boyd's drift test (ch. 7) keeping the eigenvalues that agree between them and
 a continuum test dropping the real non-negative ones; N grows from 56 by 3/2
 up to 424 while fewer levels than asked are resolved.  Scattering quantities
-come from the Jost solutions, the solutions of psi'' = (V - k^2) psi with
-plane-wave data on one wall of [-L, L].  They are propagated by a transfer-matrix kernel:
-fourth-order Magnus steps with two Gauss nodes each (Blanes, Casas, Oteo &
-Ros, Phys. Rep. 470 (2009) 151), whose 2x2 exponentials have a closed form,
-multiplied by tree reduction on a grid that doubles until two Richardson
-extrapolations agree to the fixed tolerance ``_JOST_TOL``.  V is sampled in
-one vectorized call per segment and level.  The |T| peak search is a
-golden-section search written here, with scipy's relative stopping rule.
-``residual`` applies the eighth-order central finite-difference Laplacian
-on a uniform grid.  The module needs numpy only.
+come from the Jost solutions at x = -L, 0 and L, the solutions of
+psi'' = (V - k^2) psi with plane-wave data on one wall of [-L, L].  A
+transfer-matrix kernel propagates them: fourth-order Magnus steps with two
+Gauss nodes each (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151), whose
+2x2 exponentials have a closed form, multiplied by tree reduction on a grid
+that doubles until two Richardson extrapolations agree to the fixed tolerance
+``_JOST_TOL``, from one vectorized call of V per half box and level.  The |T|
+peak search is a golden-section search written here, with scipy's relative
+stopping rule.  ``residual`` applies the eighth-order central finite-difference
+Laplacian on a uniform grid.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_finite
 
 _log = logging.getLogger("scarf_spectra")
 
@@ -88,13 +88,6 @@ _MAX_DEGREE = 424
 _DRIFT_TOL = 1e-7
 
 
-def _check_finite(name: str, values: np.ndarray, x: np.ndarray):
-    """Raise ``DomainError`` naming the smallest x where ``values`` is not finite."""
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        raise DomainError(f"{name} is not finite at x = {np.min(x[bad]):.6g}")
-
-
 def _sorted_levels(levels: list) -> list:
     """Levels sorted by Re; a run of levels whose real parts agree within
     1e-8 (1 + |z|) is ordered by Im, lowest first."""
@@ -140,7 +133,7 @@ def _mapped_eigvals(potential: Callable, half_width: float, n: int):
     box = np.abs(x) <= half_width
     v = np.zeros(n - 1, dtype=complex)
     v[box] = np.asarray(potential(x[box]), dtype=complex)
-    _check_finite("potential", v, x)
+    check_finite("potential", v, x)
     lap = -gd[1:-1] @ gd[:, 1:-1]
     if np.array_equal(v[::-1], v.conj()):
         return np.linalg.eigvals(lap + np.diag(v.real) - np.diag(v.imag)[:, ::-1]), True
@@ -285,18 +278,16 @@ def _product(m):
     return tuple(complex(x[0]) for x in m)
 
 
-def _segment_propagators(potential: Callable, k2: float, nodes: np.ndarray,
-                         counts: np.ndarray) -> list:
-    """Magnus propagator across each segment [nodes[i], nodes[i+1]] with
-    counts[i] equal steps, from one vectorized sample of V at the segment's
-    Gauss nodes."""
+def _half_propagators(potential: Callable, k2: float, L: float, n: int) -> list:
+    """Magnus propagators across [-L, 0] and [0, L], each with n equal steps,
+    from one vectorized sample of V at each half's Gauss nodes."""
     props = []
-    for lo, hi, n in zip(nodes[:-1], nodes[1:], counts):
-        h = (hi - lo) / n
-        mid = np.arange(n) + 0.5
+    h = L / n
+    mid = np.arange(n) + 0.5
+    for lo in (-L, 0.0):
         x = lo + h * np.concatenate((mid - _GAUSS_OFFSET, mid + _GAUSS_OFFSET))
         v = np.asarray(potential(x), dtype=complex) - k2
-        _check_finite("potential", v, x)
+        check_finite("potential", v, x)
         m = (1.0, 0.0, 0.0, 1.0)
         for j in range(0, n, _BLOCK):
             end = min(j + _BLOCK, n)
@@ -306,75 +297,63 @@ def _segment_propagators(potential: Callable, k2: float, nodes: np.ndarray,
 
 
 def _sweep(props: list, start_m, start_p) -> np.ndarray:
-    """Rows f+, f+', f-, f-' at the nodes: f- carried forward from the left
+    """Rows f+, f+', f-, f-' at x = -L, 0, L: f- carried forward from the left
     wall, f+ backward from the right wall through the exact inverse
-    [[d, -b], [-c, a]] of each unimodular propagator."""
-    out = np.empty((4, len(props) + 1), dtype=complex)
+    [[d, -b], [-c, a]] of each unimodular half-box propagator."""
+    (a0, b0, c0, d0), (a1, b1, c1, d1) = props
+    out = np.empty((4, 3), dtype=complex)
     out[2:, 0] = start_m
-    out[:2, -1] = start_p
-    for i, (a, b, c, d) in enumerate(props):
-        f, df = out[2, i], out[3, i]
-        out[2:, i + 1] = a * f + b * df, c * f + d * df
-    for i in range(len(props) - 1, -1, -1):
-        a, b, c, d = props[i]
-        f, df = out[0, i + 1], out[1, i + 1]
-        out[:2, i] = d * f - b * df, a * df - c * f
+    out[:2, 2] = start_p
+    out[2:, 1] = a0 * out[2, 0] + b0 * out[3, 0], c0 * out[2, 0] + d0 * out[3, 0]
+    out[2:, 2] = a1 * out[2, 1] + b1 * out[3, 1], c1 * out[2, 1] + d1 * out[3, 1]
+    out[:2, 1] = d1 * out[0, 2] - b1 * out[1, 2], a1 * out[1, 2] - c1 * out[0, 2]
+    out[:2, 0] = d0 * out[0, 1] - b0 * out[1, 1], a0 * out[1, 1] - c0 * out[0, 1]
     return out
 
 
-def jost_solutions(potential: Callable, k: float, grid: GridSpec, x_eval):
-    """Values and derivatives of f+ and f- at the requested points.
+def jost_solutions(potential: Callable, k: float, grid: GridSpec):
+    """Values and derivatives of f+ and f- at x = -L, 0 and L.
 
-    Returns ``(fp, dfp, fm, dfm)`` arrays aligned with ``x_eval``; points may
-    come in any order and repeat, and one outside [-L, L] or NaN raises
-    ``DomainError``.  f+ = e^{ikx} at x = +L and f- = e^{-ikx}
-    at x = -L, where L = ``grid.half_width`` (``grid.n_points`` is not used);
-    each carries its plane-wave data exactly on its own wall.
+    Returns ``(fp, dfp, fm, dfm)``, each an array of the three values at
+    x = -L, 0, L, where L = ``grid.half_width`` (``grid.n_points`` is not
+    used).  f+ = e^{ikx} at x = +L and f- = e^{-ikx} at x = -L; each carries
+    its plane-wave data exactly on its own wall.
 
-    [-L, L] is cut at every requested point and each segment is crossed by
-    equal fourth-order Magnus steps.  f- is carried forward from -L and f+
-    backward from +L through the same segment propagators, so one set of
-    steps gives both.  The step count doubles until two successive
-    Richardson extrapolations (16 f_2N - f_N) / 15, which are sixth order,
-    differ by at most tol + tol max|f|, with the fixed tol = ``_JOST_TOL``
-    = 1e-11, at every requested point and both walls, for each of f+, f+',
+    Each half of [-L, L] is crossed by equal fourth-order Magnus steps.  f- is
+    carried forward from -L and f+ backward from +L through the same two
+    propagators, so one set of steps gives both.  The step count doubles until
+    two successive Richardson extrapolations (16 f_2N - f_N) / 15, which are
+    sixth order, differ by at most tol + tol max|f|, with the fixed
+    tol = ``_JOST_TOL`` = 1e-11, at all three points, for each of f+, f+',
     f-, f-' with its own max|f|; that difference estimates the error of the
     earlier extrapolation, and the later one is returned.  If it is not
-    reached within ``_MAX_STEPS`` steps a ``ConvergenceError`` names k and
-    the estimate.  ``potential`` is called with arrays only; a sample that
-    is not finite raises ``DomainError`` naming its x.  Every
-    propagator has determinant 1, so the Wronskian fp*dfm - dfp*fm is
-    constant in x up to roundoff and the extrapolation error.  Each call
-    logs one DEBUG record on the ``scarf_spectra`` logger with k, the final
-    step count, the Richardson estimate (relative to max|f|) and the
-    Wronskian drift across the requested points and walls.
+    reached within ``_MAX_STEPS`` steps a ``ConvergenceError`` names k and the
+    estimate.  ``potential`` is called with arrays only; a sample that is not
+    finite raises ``DomainError`` naming its x.  Every propagator has
+    determinant 1, so the Wronskian fp*dfm - dfp*fm is the same at the three
+    points up to roundoff and the extrapolation error.  Each call logs one
+    DEBUG record on the ``scarf_spectra`` logger with k, the final step
+    count, the Richardson estimate (relative to max|f|) and the Wronskian
+    drift across the three points.
     """
     L = grid.half_width
-    xe = np.asarray(x_eval, dtype=float)
-    if xe.ndim == 0:
-        xe = xe[None]
-    if not np.all(np.abs(xe) <= L):             # also catches NaN
-        raise DomainError("evaluation points outside the grid or not finite")
     if not (k > 0.0 and math.isfinite(k)):
         raise DomainError(f"k must be positive and finite, got {k}")
     if k * L < 2.0 * math.pi:
         raise DomainError(
             f"k*half_width = {k * L:.3g} < 2*pi: grid too short for asymptotic plane waves")
 
-    nodes, where = np.unique(np.concatenate(([-L], xe, [L])), return_inverse=True)
-    where = where[1:-1]
     k2 = k * k
     phase = complex(np.exp(1j * k * L))
     start_p, start_m = (phase, 1j * k * phase), (phase, -1j * k * phase)
-    # start near a step of 1 / (4 sqrt(max |V - k^2|)) at the nodes
-    scale = np.max(np.abs(np.asarray(potential(nodes), dtype=complex) - k2))
+    # start near a step of 1 / (4 sqrt(max |V - k^2|)) at -L, 0 and L
+    scale = np.max(np.abs(np.asarray(potential(np.array([-L, 0.0, L])), dtype=complex) - k2))
     h0 = 0.25 / math.sqrt(max(scale, 1.0)) if math.isfinite(scale) else 0.25
-    counts = np.maximum(1, np.ceil(np.diff(nodes) / h0)).astype(int)
+    n = max(1, math.ceil(L / h0))                # steps per half
     coarse = extrapolated = None
     estimate = math.inf
     while True:
-        fine = _sweep(_segment_propagators(potential, k2, nodes, counts),
-                      start_m, start_p)
+        fine = _sweep(_half_propagators(potential, k2, L, n), start_m, start_p)
         if not np.all(np.isfinite(fine)):
             raise ConvergenceError(f"Jost integration at k = {k:.6g} is not finite")
         if coarse is not None:
@@ -385,24 +364,22 @@ def jost_solutions(potential: Callable, k: float, grid: GridSpec, x_eval):
                 estimate = float(np.max(diff / np.maximum(size, 1e-300)))
                 if np.all(diff <= _JOST_TOL + _JOST_TOL * size):
                     break
-        if 2 * counts.sum() > _MAX_STEPS:
+        if 4 * n > _MAX_STEPS:
             raise ConvergenceError(
                 f"Jost integration at k = {k:.6g} did not reach the tolerance "
-                f"{_JOST_TOL:g} within {counts.sum()} steps: "
+                f"{_JOST_TOL:g} within {2 * n} steps: "
                 f"Richardson estimate {estimate:.3g} relative")
         coarse = fine
-        counts = 2 * counts
-    out = extrapolated
-    out[:2, -1] = start_p
-    out[2:, 0] = start_m
+        n *= 2
+    fp, dfp, fm, dfm = extrapolated
+    fp[2], dfp[2] = start_p
+    fm[0], dfm[0] = start_m
     if _log.isEnabledFor(logging.DEBUG):
-        fp, dfp, fm, dfm = out
         wr = fp * dfm - dfp * fm
         size = np.max(np.abs(fp) * np.abs(dfm) + np.abs(dfp) * np.abs(fm))
         drift = float(np.max(np.abs(wr - wr[0])) / size)
         _log.debug("jost_solutions: k = %.6g, %d steps, Richardson estimate %.3g, "
-                   "Wronskian drift %.3g", k, int(counts.sum()), estimate, drift)
-    fp, dfp, fm, dfm = out[:, where]
+                   "Wronskian drift %.3g", k, 2 * n, estimate, drift)
     return fp, dfp, fm, dfm
 
 
@@ -418,7 +395,7 @@ def scattering(potential: Callable, k: float, grid: GridSpec) -> ScatteringResul
     by the size of its terms; it dips toward 0 at a spectral singularity.
     """
     L = grid.half_width
-    fp, dfp, fm, dfm = jost_solutions(potential, k, grid, [-L, 0.0, L])
+    fp, dfp, fm, dfm = jost_solutions(potential, k, grid)
     fpL, dfpL, fmL, dfmL = fp[0], dfp[0], fm[2], dfm[2]     # f+ at -L, f- at +L
     fp0, dfp0, fm0, dfm0 = fp[1], dfp[1], fm[1], dfm[1]     # both at x = 0
     eikl = complex(np.exp(1j * k * L))
@@ -562,6 +539,6 @@ def residual(potential: Callable, psi: Callable, energy: complex,
     out = float(res / peak)
     if not math.isfinite(out):
         # each sample of psi and V[inner] enters res: a finite result needs no scan
-        _check_finite("psi", f, xs)
-        _check_finite("potential", v[inner], xs[inner])
+        check_finite("psi", f, xs)
+        check_finite("potential", v[inner], xs[inner])
     return out

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_finite
 from .params import (DerivedParams, Regime, WavefunctionParams, _as_complex,
                      wavefunction_params)
 
@@ -232,9 +232,7 @@ def pseudo_norm(psi: Callable, domain: tuple) -> QuadratureResult:
     while panels + 1 <= (1 << 22) + 1:
         xs = np.linspace(a, b, panels + 1)
         samples = integrand(xs)
-        if not np.all(np.isfinite(samples)):
-            bad = xs[~np.isfinite(samples)][0]
-            raise DomainError(f"pseudo-norm integrand is not finite at x = {bad:.6g}")
+        check_finite("pseudo-norm integrand", samples, xs)
         val = _simpson(samples, (b - a) / panels)
         if prev is not None:
             diff = abs(val - prev)

@@ -12,6 +12,10 @@ from scarf_spectra import (ConvergenceError, CouplingParams, bound_state, derive
                            spectrum)
 from scarf_spectra.cli import main
 
+# the CLI writes only JSON errors to stderr, and pytest's warning capture keeps
+# warnings out of capsys, so any warning fails the test
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 def _run(capsys, argv):
     code = main(argv)
@@ -154,6 +158,15 @@ def test_wavefunction_json_round_trip(capsys):
     lv = spectrum(derive(CouplingParams(12.0, 6.0)))[0]
     vals = bound_state(lv, xs)
     assert np.max(np.abs(np.array(doc["results"]["psi_re"]) - vals.real)) < 1e-10
+
+
+def test_wavefunction_that_is_not_finite_exits_3(capsys):
+    # n = 36 of (2000, 500) overflows at the box edge, as verify reports
+    code, out, err = _run(capsys, ["wavefunction", "--v1", "2000", "--v2", "500",
+                                   "--n", "36", "--epsilon", "+"])
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "DomainError", "message": "psi is not finite at x = -20"}
 
 
 def test_scatter_csv(capsys):
@@ -409,9 +422,8 @@ def test_verify_skipped_checks(capsys, v1, v2, rows):
 def test_verify_names_the_level_whose_state_is_not_finite(capsys):
     # 8 of the 50 closed-form states of (2000, 500) are NaN at |x| = 20
     # (P_n(i sinh x) overflows where sech^lam underflows)
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out, _ = _run(capsys, ["verify", "--v1", "2000", "--v2", "500"])
-    assert code == 4
+    code, out, err = _run(capsys, ["verify", "--v1", "2000", "--v2", "500"])
+    assert code == 4 and err == ""
     row = {c["name"]: c for c in json.loads(out)["results"]["checks"]}["wavefunction-residuals"]
     assert row["passed"] is False and row["value"] == "nan"
     assert row["note"] == "n = 36, epsilon = +1: psi is not finite at x = -20"

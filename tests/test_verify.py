@@ -376,33 +376,28 @@ def test_off_locus_wronskian_bounded_away_from_zero():
 
 def test_wronskian_constancy():
     g = GridSpec(25.0, 1001)
-    xe = np.array([-5.0, -1.0, 0.0, 1.0, 5.0])
-    fp, dfp, fm, dfm = jost_solutions(_pot(PARAMS_COMPLEX), 1.0, g, xe)
+    fp, dfp, fm, dfm = jost_solutions(_pot(PARAMS_COMPLEX), 1.0, g)
     w = fp * dfm - dfp * fm
     assert np.max(np.abs(w - w.mean())) / abs(w.mean()) < 1e-8
 
 
-def test_jost_solutions_point_order_and_domain():
+def test_jost_solutions_free_particle_plane_waves():
     g = GridSpec(25.0, 1001)
-    xe = np.array([3.0, -2.0, 0.0])
-    fp, dfp, fm, dfm = jost_solutions(_zero, 1.0, g, xe)
+    xe = np.array([-25.0, 0.0, 25.0])
+    fp, dfp, fm, dfm = jost_solutions(_zero, 1.0, g)
     # free-particle Jost solutions are the plane waves themselves
     assert np.max(np.abs(fp - np.exp(1j * xe))) < 1e-9
     assert np.max(np.abs(fm - np.exp(-1j * xe))) < 1e-9
-    for bad in ([30.0], [0.0, np.nan]):
-        with pytest.raises(DomainError):
-            jost_solutions(_zero, 1.0, g, bad)
 
 
-def test_jost_solutions_wall_points_and_repeats():
+def test_jost_solutions_exact_wall_data():
     g = GridSpec(25.0, 1001)
     k = 1.0
-    fp, dfp, fm, dfm = jost_solutions(_pot(PARAMS_COMPLEX), k, g, [25.0, 0.0, -25.0, 0.0])
+    fp, dfp, fm, dfm = jost_solutions(_pot(PARAMS_COMPLEX), k, g)
     # each solution carries its plane-wave data exactly on its own wall
     phase = np.exp(1j * k * 25.0)
-    assert (fp[0], dfp[0]) == (phase, 1j * k * phase)
-    assert (fm[2], dfm[2]) == (phase, -1j * k * phase)
-    assert (fp[1], dfp[1], fm[1], dfm[1]) == (fp[3], dfp[3], fm[3], dfm[3])
+    assert (fp[2], dfp[2]) == (phase, 1j * k * phase)
+    assert (fm[0], dfm[0]) == (phase, -1j * k * phase)
     sc = scattering(_pot(PARAMS_COMPLEX), k, g)
     wr = fp[1] * dfm[1] - dfp[1] * fm[1]
     scale = abs(fp[1]) * abs(dfm[1]) + abs(dfp[1]) * abs(fm[1])
@@ -452,38 +447,33 @@ def test_partner_scattering_matches_susy_relation():
             assert abs(t - ref) <= 2e-6 * abs(ref) * max(1.0, abs(ref)), (signs, k)
 
 
-def _dop853_jost(potential, k, half_width, xe):
-    """Independent reference: adaptive DOP853 from each wall, one scalar
-    potential call per right-hand-side evaluation."""
+def _dop853_jost(potential, k, half_width):
+    """Independent reference: adaptive DOP853 from each wall to x = -L, 0, L,
+    one scalar potential call per right-hand-side evaluation."""
     def rhs(t, y):
         return [y[1], (complex(potential(t)) - k * k) * y[0]]
 
-    order = np.argsort(xe)
     phase = np.exp(1j * k * half_width)
     out = []
     for wall, start in ((half_width, [phase, 1j * k * phase]),
                         (-half_width, [phase, -1j * k * phase])):
-        ts = xe[order] if wall < 0 else xe[order][::-1]
-        sol = solve_ivp(rhs, (wall, -wall), start, t_eval=ts, method="DOP853",
-                        rtol=1e-13, atol=1e-13)
+        sol = solve_ivp(rhs, (wall, -wall), start, t_eval=[wall, 0.0, -wall],
+                        method="DOP853", rtol=1e-13, atol=1e-13)
         assert sol.success
         y = sol.y if wall < 0 else sol.y[:, ::-1]
-        vals = np.empty_like(y)
-        vals[:, order] = y
-        out += [vals[0], vals[1]]
+        out += [y[0], y[1]]
     return out
 
 
 def test_jost_solutions_match_independent_integrator():
     grid = GridSpec(20.0, 201)
-    xe = np.array([3.0, -2.0, 0.0, 7.5])
     d = derive(PARAMS_REAL)
     potentials = [_pot(PARAMS_REAL)] + [
         (lambda x, br=solve_branch(d, *signs): extended_potential(br, PARAMS_REAL, x))
         for signs in BRANCH_SIGNS]
     for i, pot in enumerate(potentials):
-        got = jost_solutions(pot, 1.1, grid, xe)
-        ref = _dop853_jost(pot, 1.1, grid.half_width, xe)
+        got = jost_solutions(pot, 1.1, grid)
+        ref = _dop853_jost(pot, 1.1, grid.half_width)
         for g, r in zip(got, ref):
             assert np.max(np.abs(g - r)) <= 1e-9 * np.max(np.abs(r)), i
 
@@ -493,13 +483,13 @@ def test_jost_solutions_unreachable_tolerance_raises():
     # so the Richardson estimate is still 8e-7 at the step cap
     kinked = lambda x: -3.0 * np.abs(np.sin(7.3 * x))
     with pytest.raises(ConvergenceError, match="k = 1"):
-        jost_solutions(kinked, 1.0, GridSpec(20.0, 201), [0.0])
+        jost_solutions(kinked, 1.0, GridSpec(20.0, 201))
 
 
 def test_jost_solutions_debug_record(caplog):
     g = GridSpec(25.0, 1001)
     with caplog.at_level(logging.DEBUG, logger="scarf_spectra"):
-        jost_solutions(_pot(PARAMS_COMPLEX), 1.0, g, [-5.0, 0.0, 5.0])
+        jost_solutions(_pot(PARAMS_COMPLEX), 1.0, g)
     records = [r for r in caplog.records if r.name == "scarf_spectra"]
     assert len(records) == 1 and records[0].levelno == logging.DEBUG
     k, steps, estimate, drift = records[0].args
