@@ -227,11 +227,9 @@ def _cmd_scatter(args: argparse.Namespace):
     params = CouplingParams(args.v1, args.v2)
     grid = GridSpec(args.domain, 201)           # scattering reads half_width only
     ks = np.linspace(args.k_min, args.k_max, args.k_steps)
-    rows = []
-    for k in ks:
-        sc = scattering(lambda x: potential_value(params, x), float(k), grid)
-        t = sc.transmission
-        rows.append((float(k), t.real, t.imag, abs(t), sc.wronskian_ratio))
+    rows = [(sc.k, sc.transmission.real, sc.transmission.imag, abs(sc.transmission),
+             sc.wronskian_ratio)
+            for sc in scattering(lambda x: potential_value(params, x), ks, grid)]
     if args.format == "csv":
         return None, ("k,t_re,t_im,t_abs,wronskian_ratio", rows)
     results = {

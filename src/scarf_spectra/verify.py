@@ -16,12 +16,16 @@ come from the Jost solutions at x = -L, 0 and L, the solutions of
 psi'' = (V - k^2) psi with plane-wave data on one wall of [-L, L].  A
 transfer-matrix kernel propagates them: fourth-order Magnus steps with two
 Gauss nodes each (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151), whose
-2x2 exponentials have a closed form, multiplied by tree reduction on a grid
-that doubles until two Richardson extrapolations agree to the fixed tolerance
-``_JOST_TOL``, from one vectorized call of V per half box and level.  The |T|
-peak search is a golden-section search written here, with scipy's relative
-stopping rule.  ``residual`` applies the eighth-order central finite-difference
-Laplacian on a uniform grid.  The module needs numpy only.
+2x2 exponentials have a closed form, multiplied by tree reduction.  A float
+momentum is a batch of one: the momenta of a batch share one ladder of step
+counts, doubling from 1 per half box, and one vectorized call of V per rung
+serves both half boxes and every momentum on it.  Each momentum enters at a
+rung set by |V - k^2| at -L, 0 and L and leaves once the error estimate of its
+latest Richardson extrapolation meets the fixed tolerance ``_JOST_TOL``.  The
+|T| peak search is a batched coarse pass and a golden-section search written
+here, with scipy's relative stopping rule.  ``residual`` applies the
+eighth-order central finite-difference Laplacian on a uniform grid.  The
+module needs numpy only.
 """
 
 from __future__ import annotations
@@ -66,8 +70,8 @@ class GridSpec:
 REFERENCE_GRID = GridSpec(half_width=20.0, n_points=4001)
 
 # Jost kernel: Gauss nodes of a step at its midpoint -+ _GAUSS_OFFSET * h, step
-# products taken _BLOCK steps at a time (bounded temporary memory), at most
-# _MAX_STEPS steps over [-L, L]
+# products taken in tiles of at most _BLOCK matrices (bounded temporary
+# memory), at most _MAX_STEPS steps over [-L, L]
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 _BLOCK = 4096
 _MAX_STEPS = 1 << 17
@@ -237,22 +241,22 @@ def _step_exponentials(w1, w2, h: float):
     Omega = h (A1 + A2) / 2 + sqrt(3) h^2 [A2, A1] / 12 = [[c, h], [h wbar, -c]]
     is traceless, Omega^2 = s^2 I, and exp(Omega) = cosh(s) I + sinh(s)/s Omega
     exactly.  Both coefficients are even in s, so they are taken from
-    s^2 = c^2 + h^2 wbar: by their series when every |s^2| is small, which
-    also covers s = 0.
+    s^2 = c^2 + h^2 wbar, step by step: by their series where |s^2| < 0.1,
+    which also covers s = 0, and in closed form elsewhere.
     """
     c = (math.sqrt(3.0) / 12.0) * h * h * (w1 - w2)
     hw = 0.5 * h * (w1 + w2)
     s2 = c * c + h * hw
-    if np.max(np.abs(s2)) < 0.1:                # truncation below 1e-18
-        ch = 1.0 + s2 * (1 / 2 + s2 * (1 / 24 + s2 * (1 / 720 + s2 * (
-            1 / 40320 + s2 * (1 / 3628800 + s2 / 479001600)))))
-        shc = 1.0 + s2 * (1 / 6 + s2 * (1 / 120 + s2 * (1 / 5040 + s2 * (
-            1 / 362880 + s2 * (1 / 39916800 + s2 / 6227020800)))))
-    else:
-        s = np.sqrt(s2)
-        ch = np.cosh(s)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            shc = np.where(s2 == 0.0, 1.0, np.sinh(s) / s)
+    # series truncation below 1e-18
+    ch = 1.0 + s2 * (1 / 2 + s2 * (1 / 24 + s2 * (1 / 720 + s2 * (
+        1 / 40320 + s2 * (1 / 3628800 + s2 / 479001600)))))
+    shc = 1.0 + s2 * (1 / 6 + s2 * (1 / 120 + s2 * (1 / 5040 + s2 * (
+        1 / 362880 + s2 * (1 / 39916800 + s2 / 6227020800)))))
+    big = np.abs(s2) >= 0.1
+    if big.any():
+        s = np.sqrt(s2[big])
+        ch[big] = np.cosh(s)
+        shc[big] = np.sinh(s) / s
     return ch + shc * c, shc * h, shc * hw, ch - shc * c
 
 
@@ -266,128 +270,175 @@ def _mul(m1, m0):
 
 
 def _product(m):
-    """M[n-1] ... M[1] M[0] of the matrices in the entry arrays ``m``, by
-    pairwise tree reduction: about log2(n) passes over the arrays."""
-    while m[0].size > 1:
-        if m[0].size % 2:                       # fold the last matrix in
-            last = _mul([x[-1] for x in m], [x[-2] for x in m])
-            m = [x[:-1] for x in m]
-            for x, y in zip(m, last):
-                x[-1] = y
-        m = _mul([x[1::2] for x in m], [x[0::2] for x in m])
-    return tuple(complex(x[0]) for x in m)
+    """M[n-1] ... M[1] M[0] along the last axis of the entry arrays ``m``, n a
+    power of two, by pairwise tree reduction: log2(n) passes over the arrays."""
+    while m[0].shape[-1] > 1:
+        m = _mul([x[..., 1::2] for x in m], [x[..., 0::2] for x in m])
+    return tuple(x[..., 0] for x in m)
 
 
-def _half_propagators(potential: Callable, k2: float, L: float, n: int) -> list:
-    """Magnus propagators across [-L, 0] and [0, L], each with n equal steps,
-    from one vectorized sample of V at each half's Gauss nodes."""
-    props = []
+def _propagators(potential: Callable, L: float, n: int, k2):
+    """Magnus propagators across [-L, 0] and [0, L], n equal steps each, for
+    each of the squared momenta ``k2``, as entry arrays of shape (len(k2), 2),
+    from one vectorized sample of V at the 4n Gauss nodes.
+
+    The steps are multiplied in tiles of c momenta, both halves and b steps,
+    c * 2 * b <= ``_BLOCK`` matrices: b = min(n, ``_BLOCK`` / 2) depends on n
+    alone, so each momentum's product is formed in the same order whatever
+    the batch.
+    """
     h = L / n
-    mid = np.arange(n) + 0.5
-    for lo in (-L, 0.0):
-        x = lo + h * np.concatenate((mid - _GAUSS_OFFSET, mid + _GAUSS_OFFSET))
-        v = np.asarray(potential(x), dtype=complex) - k2
-        check_finite("potential", v, x)
-        m = (1.0, 0.0, 0.0, 1.0)
-        for j in range(0, n, _BLOCK):
-            end = min(j + _BLOCK, n)
-            m = _mul(_product(_step_exponentials(v[j:end], v[n + j:n + end], h)), m)
-        props.append(m)
-    return props
+    offsets = np.array([[[-_GAUSS_OFFSET]], [[_GAUSS_OFFSET]]])    # node axis
+    x = ((np.arange(n) + 0.5 + offsets) * h + np.array([[-L], [0.0]])).ravel()
+    v = np.asarray(potential(x), dtype=complex)
+    check_finite("potential", v, x)
+    v = v.reshape(2, 2, n)                      # node, half, step
+    b = min(n, _BLOCK // 2)
+    c = _BLOCK // (2 * b)
+    chunks = []
+    for i in range(0, len(k2), c):
+        w = k2[i:i + c, None, None]
+        m = None
+        for j in range(0, n, b):
+            p = _product(_step_exponentials(v[0, :, j:j + b] - w, v[1, :, j:j + b] - w, h))
+            m = p if m is None else _mul(p, m)
+        chunks.append(m)
+    return [np.concatenate(x) for x in zip(*chunks)]
 
 
-def _sweep(props: list, start_m, start_p) -> np.ndarray:
-    """Rows f+, f+', f-, f-' at x = -L, 0, L: f- carried forward from the left
-    wall, f+ backward from the right wall through the exact inverse
-    [[d, -b], [-c, a]] of each unimodular half-box propagator."""
-    (a0, b0, c0, d0), (a1, b1, c1, d1) = props
-    out = np.empty((4, 3), dtype=complex)
-    out[2:, 0] = start_m
-    out[:2, 2] = start_p
-    out[2:, 1] = a0 * out[2, 0] + b0 * out[3, 0], c0 * out[2, 0] + d0 * out[3, 0]
-    out[2:, 2] = a1 * out[2, 1] + b1 * out[3, 1], c1 * out[2, 1] + d1 * out[3, 1]
-    out[:2, 1] = d1 * out[0, 2] - b1 * out[1, 2], a1 * out[1, 2] - c1 * out[0, 2]
-    out[:2, 0] = d0 * out[0, 1] - b0 * out[1, 1], a0 * out[1, 1] - c0 * out[0, 1]
-    return out
+def _sweep(props, k, phase) -> np.ndarray:
+    """Rows f+, f+', f-, f-' at x = -L, 0, L for each momentum, shape
+    (len(k), 4, 3): f- carried forward from its data at the left wall, f+
+    backward from the right wall through the exact inverse [[d, -b], [-c, a]]
+    of each unimodular half-box propagator."""
+    (a0, a1), (b0, b1), (c0, c1), (d0, d1) = (x.T for x in props)
+    fm, dfm = phase, -1j * k * phase
+    fm0, dfm0 = a0 * fm + b0 * dfm, c0 * fm + d0 * dfm
+    fmL, dfmL = a1 * fm0 + b1 * dfm0, c1 * fm0 + d1 * dfm0
+    fp, dfp = phase, 1j * k * phase
+    fp0, dfp0 = d1 * fp - b1 * dfp, a1 * dfp - c1 * fp
+    fpL, dfpL = d0 * fp0 - b0 * dfp0, a0 * dfp0 - c0 * fp0
+    return np.moveaxis(np.array([[fpL, fp0, fp], [dfpL, dfp0, dfp],
+                                 [fm, fm0, fmL], [dfm, dfm0, dfmL]]), -1, 0)
 
 
-def jost_solutions(potential: Callable, k: float, grid: GridSpec):
+def jost_solutions(potential: Callable, k, grid: GridSpec):
     """Values and derivatives of f+ and f- at x = -L, 0 and L.
 
-    Returns ``(fp, dfp, fm, dfm)``, each an array of the three values at
-    x = -L, 0, L, where L = ``grid.half_width`` (``grid.n_points`` is not
-    used).  f+ = e^{ikx} at x = +L and f- = e^{-ikx} at x = -L; each carries
+    ``k`` is a float or a 1-D array of momenta.  Returns ``(fp, dfp, fm,
+    dfm)``: for a float, each an array of the three values at x = -L, 0, L,
+    where L = ``grid.half_width`` (``grid.n_points`` is not used); for an
+    array, each of shape (len(k), 3), row i bit for bit the result for k[i]
+    alone.  f+ = e^{ikx} at x = +L and f- = e^{-ikx} at x = -L; each carries
     its plane-wave data exactly on its own wall.
 
-    Each half of [-L, L] is crossed by equal fourth-order Magnus steps.  f- is
-    carried forward from -L and f+ backward from +L through the same two
-    propagators, so one set of steps gives both.  The step count doubles until
-    two successive Richardson extrapolations (16 f_2N - f_N) / 15, which are
-    sixth order, differ by at most tol + tol max|f|, with the fixed
-    tol = ``_JOST_TOL`` = 1e-11, at all three points, for each of f+, f+',
-    f-, f-' with its own max|f|; that difference estimates the error of the
-    earlier extrapolation, and the later one is returned.  If it is not
-    reached within ``_MAX_STEPS`` steps a ``ConvergenceError`` names k and the
-    estimate.  ``potential`` is called with arrays only; a sample that is not
-    finite raises ``DomainError`` naming its x.  Every propagator has
-    determinant 1, so the Wronskian fp*dfm - dfp*fm is the same at the three
-    points up to roundoff and the extrapolation error.  Each call logs one
-    DEBUG record on the ``scarf_spectra`` logger with k, the final step
-    count, the Richardson estimate (relative to max|f|) and the Wronskian
-    drift across the three points.
+    Each half of [-L, L] is crossed by n equal fourth-order Magnus steps.  f-
+    is carried forward from -L and f+ backward from +L through the same two
+    propagators, so one set of steps gives both.  A float is a batch of one;
+    the momenta of a batch share one ladder of step counts, n = 1, 2, 4, ...
+    per half, and one sample of V at the 4n Gauss nodes of a rung serves both
+    halves and every momentum still on the ladder.  A momentum enters at the
+    first rung whose step L / n is at most 1 / (4 sqrt(max(1, |V - k^2|))),
+    with |V - k^2| at its largest over x = -L, 0, L (one more sample of V,
+    shared by the batch; 1/4 if that is not finite).  It leaves at the first
+    rung where its sixth-order Richardson extrapolations (16 f_n - f_{n/2}) / 15
+    of this rung and the last differ by at most 63 (tol + tol max|f|), with
+    the fixed tol = ``_JOST_TOL`` = 1e-11, at all three points, for each of
+    f+, f+', f-, f-' with its own max|f|: the error falls 64-fold per
+    doubling, so that difference over 63 estimates the error of the later
+    extrapolation, which is returned.  If some momentum does not get there
+    within ``_MAX_STEPS`` steps, a ``ConvergenceError`` names it and its
+    estimate.  The steps of a rung are multiplied in tiles of
+    ``_BLOCK`` = 4096 matrices or fewer, b = min(n, 2048) steps of both
+    halves for 2048 / b momenta at a time, so besides the 4n samples of V no
+    temporary holds more than ``_BLOCK`` entries; b depends on n alone, so a
+    momentum's arithmetic does not depend on the batch.  ``potential`` is
+    called with arrays only; a sample that is not finite raises
+    ``DomainError`` naming its x.  Every propagator has determinant 1, so the
+    Wronskian fp*dfm - dfp*fm is the same at the three points up to roundoff
+    and the extrapolation error.  Each momentum logs one DEBUG record on the
+    ``scarf_spectra`` logger with k, the final step count over [-L, L], the
+    Richardson estimate (relative to max|f|) and the Wronskian drift across
+    the three points.
     """
     L = grid.half_width
-    if not (k > 0.0 and math.isfinite(k)):
-        raise DomainError(f"k must be positive and finite, got {k}")
-    if k * L < 2.0 * math.pi:
-        raise DomainError(
-            f"k*half_width = {k * L:.3g} < 2*pi: grid too short for asymptotic plane waves")
+    if np.ndim(k) > 1:
+        raise DomainError(f"k must be a float or a 1-D array, got shape {np.shape(k)}")
+    ks = np.array(k, dtype=float, ndmin=1)
+    for kk in ks.tolist():
+        if not (kk > 0.0 and math.isfinite(kk)):
+            raise DomainError(f"k must be positive and finite, got {kk}")
+        if kk * L < 2.0 * math.pi:
+            raise DomainError(f"k*half_width = {kk * L:.3g} < 2*pi: grid too short "
+                              "for asymptotic plane waves")
 
-    k2 = k * k
-    phase = complex(np.exp(1j * k * L))
-    start_p, start_m = (phase, 1j * k * phase), (phase, -1j * k * phase)
-    # start near a step of 1 / (4 sqrt(max |V - k^2|)) at -L, 0 and L
-    scale = np.max(np.abs(np.asarray(potential(np.array([-L, 0.0, L])), dtype=complex) - k2))
-    h0 = 0.25 / math.sqrt(max(scale, 1.0)) if math.isfinite(scale) else 0.25
-    n = max(1, math.ceil(L / h0))                # steps per half
-    coarse = extrapolated = None
-    estimate = math.inf
-    while True:
-        fine = _sweep(_half_propagators(potential, k2, L, n), start_m, start_p)
-        if not np.all(np.isfinite(fine)):
-            raise ConvergenceError(f"Jost integration at k = {k:.6g} is not finite")
-        if coarse is not None:
-            previous, extrapolated = extrapolated, (16.0 * fine - coarse) / 15.0
-            if previous is not None:
-                size = np.max(np.abs(extrapolated), axis=1, keepdims=True)
-                diff = np.abs(extrapolated - previous)
-                estimate = float(np.max(diff / np.maximum(size, 1e-300)))
-                if np.all(diff <= _JOST_TOL + _JOST_TOL * size):
-                    break
-        if 4 * n > _MAX_STEPS:
+    k2 = ks * ks
+    phase = np.exp(1j * ks * L)
+    walls = np.asarray(potential(np.array([-L, 0.0, L])), dtype=complex)
+    entry = []                                  # steps per half at entry
+    for scale in np.max(np.abs(walls - k2[:, None]), axis=1).tolist():
+        h0 = 0.25 / math.sqrt(max(scale, 1.0)) if math.isfinite(scale) else 0.25
+        entry.append(1 << (math.ceil(L / h0) - 1).bit_length())   # 2^j >= L / h0
+    entry = np.array(entry, dtype=int)
+    # f at a momentum's last rung and its extrapolation: NaN before its first
+    # rung, so that its first two rungs can meet no tolerance
+    coarse = np.full((len(ks), 4, 3), np.nan, dtype=complex)
+    extrapolated = coarse.copy()
+    out = np.empty_like(coarse)
+    steps = np.zeros(len(ks), dtype=int)
+    estimate = np.empty(len(ks))
+    n = 0
+    while not steps.all():
+        # the next rung, or the next entry if every momentum entered has left
+        n = max(2 * n, int(entry[steps == 0].min()))
+        on = np.flatnonzero((entry <= n) & (steps == 0))
+        fine = _sweep(_propagators(potential, L, n, k2[on]), ks[on], phase[on])
+        if not np.isfinite(fine).all():
+            i = on[~np.isfinite(fine).all(axis=(1, 2))][0]
+            raise ConvergenceError(f"Jost integration at k = {ks[i]:.6g} is not finite")
+        ext = (16.0 * fine - coarse[on]) / 15.0
+        size = np.abs(ext).max(axis=2, keepdims=True)
+        diff = np.abs(ext - extrapolated[on]) / 63.0
+        # fmin turns the NaN of a momentum's first two rungs into inf
+        estimate[on] = np.fmin((diff / np.maximum(size, 1e-300)).max(axis=(1, 2)), math.inf)
+        met = (diff <= _JOST_TOL + _JOST_TOL * size).all(axis=(1, 2))
+        out[on[met]] = ext[met]
+        steps[on[met]] = 2 * n
+        if 4 * n > _MAX_STEPS and not met.all():
+            i = on[~met][0]
             raise ConvergenceError(
-                f"Jost integration at k = {k:.6g} did not reach the tolerance "
+                f"Jost integration at k = {ks[i]:.6g} did not reach the tolerance "
                 f"{_JOST_TOL:g} within {2 * n} steps: "
-                f"Richardson estimate {estimate:.3g} relative")
-        coarse = fine
-        n *= 2
-    fp, dfp, fm, dfm = extrapolated
-    fp[2], dfp[2] = start_p
-    fm[0], dfm[0] = start_m
+                f"Richardson estimate {estimate[i]:.3g} relative")
+        coarse[on], extrapolated[on] = fine, ext
+    out[:, 0, 2] = phase
+    out[:, 1, 2] = 1j * ks * phase
+    out[:, 2, 0] = phase
+    out[:, 3, 0] = -1j * ks * phase
+    fp, dfp, fm, dfm = out.transpose(1, 0, 2)
     if _log.isEnabledFor(logging.DEBUG):
         wr = fp * dfm - dfp * fm
-        size = np.max(np.abs(fp) * np.abs(dfm) + np.abs(dfp) * np.abs(fm))
-        drift = float(np.max(np.abs(wr - wr[0])) / size)
-        _log.debug("jost_solutions: k = %.6g, %d steps, Richardson estimate %.3g, "
-                   "Wronskian drift %.3g", k, 2 * n, estimate, drift)
+        size = np.max(np.abs(fp) * np.abs(dfm) + np.abs(dfp) * np.abs(fm), axis=1)
+        drift = np.max(np.abs(wr - wr[:, :1]), axis=1) / size
+        for i in range(len(ks)):
+            _log.debug("jost_solutions: k = %.6g, %d steps, Richardson estimate %.3g, "
+                       "Wronskian drift %.3g", ks[i], steps[i], estimate[i], drift[i])
+    if np.ndim(k) == 0:
+        return fp[0], dfp[0], fm[0], dfm[0]
     return fp, dfp, fm, dfm
 
 
-def scattering(potential: Callable, k: float, grid: GridSpec) -> ScatteringResult:
+def scattering(potential: Callable, k, grid: GridSpec):
     """Transmission/reflection amplitudes at momentum k (left and right incidence).
 
-    The amplitudes are read from the plane-wave content of f+ at x = -L and
-    of f- at x = +L, which ``jost_solutions`` gives to within
+    ``k`` is a float, which gives one ``ScatteringResult``, or a 1-D array of
+    momenta, which gives a list of them, item i bit for bit the result for
+    k[i] alone; the momenta share one ``jost_solutions`` pass, with its one
+    ladder of step counts and one sample of V per rung, and a momentum that
+    is not positive or too small for the box raises ``DomainError`` before
+    any integration.  The
+    amplitudes are read from the plane-wave content of f+ at x = -L and of f-
+    at x = +L, which ``jost_solutions`` gives to within
     ``_JOST_TOL`` (1 + max|f|), with ``_JOST_TOL`` = 1e-11; only
     ``grid.half_width`` is used.  The left/right transmission amplitudes
     coincide; ``transmission`` is the
@@ -395,25 +446,26 @@ def scattering(potential: Callable, k: float, grid: GridSpec) -> ScatteringResul
     by the size of its terms; it dips toward 0 at a spectral singularity.
     """
     L = grid.half_width
-    fp, dfp, fm, dfm = jost_solutions(potential, k, grid)
-    fpL, dfpL, fmL, dfmL = fp[0], dfp[0], fm[2], dfm[2]     # f+ at -L, f- at +L
-    fp0, dfp0, fm0, dfm0 = fp[1], dfp[1], fm[1], dfm[1]     # both at x = 0
-    eikl = complex(np.exp(1j * k * L))
+    ks = np.array(k, dtype=float, ndmin=1)
+    fp, dfp, fm, dfm = jost_solutions(potential, ks, grid)
+    fpL, dfpL, fmL, dfmL = fp[:, 0], dfp[:, 0], fm[:, 2], dfm[:, 2]    # f+ at -L, f- at +L
+    fp0, dfp0, fm0, dfm0 = fp[:, 1], dfp[:, 1], fm[:, 1], dfm[:, 1]    # both at x = 0
+    ik = 1j * ks
+    eikl = np.exp(1j * ks * L)
     # f+ near -L: A e^{ikx} + B e^{-ikx}; left incidence T = 1/A, R_L = B/A
-    a_amp = eikl * (fpL + dfpL / (1j * k)) / 2.0
-    b_amp = (fpL - dfpL / (1j * k)) / (2.0 * eikl)
+    a_amp = eikl * (fpL + dfpL / ik) / 2.0
+    b_amp = (fpL - dfpL / ik) / (2.0 * eikl)
     # f- near +L: C e^{-ikx} + D e^{ikx}; right incidence T = 1/C, R_R = D/C
-    c_amp = eikl * (fmL - dfmL / (1j * k)) / 2.0
-    d_amp = (fmL + dfmL / (1j * k)) / (2.0 * eikl)
-    wr = fp0 * dfm0 - dfp0 * fm0
-    scale = abs(fp0) * abs(dfm0) + abs(dfp0) * abs(fm0)
-    return ScatteringResult(
-        k=k,
-        transmission=complex(1.0 / a_amp),
-        reflection_left=complex(b_amp / a_amp),
-        reflection_right=complex(d_amp / c_amp),
-        wronskian_ratio=float(abs(wr) / scale) if scale > 0.0 else np.inf,
-    )
+    c_amp = eikl * (fmL - dfmL / ik) / 2.0
+    d_amp = (fmL + dfmL / ik) / (2.0 * eikl)
+    wr = np.abs(fp0 * dfm0 - dfp0 * fm0)
+    scale = np.abs(fp0) * np.abs(dfm0) + np.abs(dfp0) * np.abs(fm0)
+    out = [ScatteringResult(k=float(kk), transmission=complex(1.0 / a),
+                            reflection_left=complex(b / a),
+                            reflection_right=complex(dd / c),
+                            wronskian_ratio=float(w / s) if s > 0.0 else np.inf)
+           for kk, a, b, c, dd, w, s in zip(ks, a_amp, b_amp, c_amp, d_amp, wr, scale)]
+    return out if np.ndim(k) else out[0]
 
 
 @dataclass(frozen=True)
@@ -458,21 +510,28 @@ def _golden_max(f: Callable, x0: float, x1: float, x3: float, f1: float,
 
 def _peak_in_window(potential: Callable, k_window, grid: GridSpec,
                     coarse_steps: int, xtol: float):
-    """(k, at_edge): the momentum of the largest |T| in ``k_window``, and
-    whether it is an end of the window rather than a maximum: the coarse
+    """(k, at_edge, result): the momentum of the largest |T| in ``k_window``,
+    whether it is an end of the window rather than a maximum (the coarse
     maximum is at that end and k lies within the golden-section tolerance
-    xtol (|k| + |end|) of it."""
+    xtol (|k| + |end|) of it), and the ``ScatteringResult`` at k.  The coarse
+    momenta share one ``scattering`` call and each probe of the search is one
+    call; the result at k is the one already integrated there (a fresh call
+    only if clipping k to the window moved it)."""
     k_lo, k_hi = float(k_window[0]), float(k_window[1])
     if not (0.0 < k_lo < k_hi):
         raise DomainError(f"invalid momentum window ({k_lo}, {k_hi})")
     if coarse_steps < 5:
         raise DomainError(f"coarse_steps must be >= 5, got {coarse_steps}")
 
-    def height(k: float) -> float:
-        return abs(scattering(potential, k, grid).transmission)
-
     ks = np.linspace(k_lo, k_hi, coarse_steps)
-    hs = np.array([height(k) for k in ks])
+    coarse = scattering(potential, ks, grid)
+    seen = dict(zip(ks.tolist(), coarse))
+
+    def height(k: float) -> float:
+        sc = seen[float(k)] = scattering(potential, k, grid)
+        return abs(sc.transmission)
+
+    hs = np.array([abs(sc.transmission) for sc in coarse])
     i = int(np.argmax(hs))
     lo = ks[max(i - 1, 0)]
     hi = ks[min(i + 1, coarse_steps - 1)]
@@ -484,7 +543,8 @@ def _peak_in_window(potential: Callable, k_window, grid: GridSpec,
     else:
         k = _golden_max(height, lo, ks[i], hi, hs[i], xtol)
         at_edge = False
-    return float(np.clip(k, k_lo, k_hi)), bool(at_edge)
+    k = float(np.clip(k, k_lo, k_hi))
+    return k, bool(at_edge), seen[k] if k in seen else scattering(potential, k, grid)
 
 
 def singularity_scan(params_curve: Sequence, k_window, grid: GridSpec,
@@ -493,8 +553,10 @@ def singularity_scan(params_curve: Sequence, k_window, grid: GridSpec,
 
     ``params_curve`` is a sequence of CouplingParams (or any objects accepted
     by the potential closure).  Each point gets a coarse scan over
-    ``coarse_steps`` momenta followed by golden-section refinement of the
-    bracketed peak.  On the singularity locus the peak is a near-pole of |T|
+    ``coarse_steps`` momenta, in one batched ``scattering`` call, followed by
+    golden-section refinement of the bracketed peak, one call per probe; the
+    ``ScanPoint`` takes its values from the call that integrated ``k_peak``.
+    On the singularity locus the peak is a near-pole of |T|
     with a collapsing Wronskian; off it, a finite bump.  When |T| is largest
     at an end of the window, ``k_peak`` is that end (within the search
     tolerance), not a maximum, and ``at_window_edge`` is True.
@@ -504,8 +566,7 @@ def singularity_scan(params_curve: Sequence, k_window, grid: GridSpec,
     out = []
     for pr in params_curve:
         potential = lambda x, _pr=pr: potential_value(_pr, x)
-        k_peak, at_edge = _peak_in_window(potential, k_window, grid, coarse_steps, xtol)
-        sc = scattering(potential, k_peak, grid)
+        k_peak, at_edge, sc = _peak_in_window(potential, k_window, grid, coarse_steps, xtol)
         out.append(ScanPoint(params=pr, k_peak=k_peak,
                              peak_height=abs(sc.transmission),
                              wronskian_ratio=sc.wronskian_ratio,

@@ -77,8 +77,8 @@ _GOLDEN_SHA256 = {
         "26890023af34d2948c8d78ff53e6dd2d8f20594c9e993999bbb8e66759cd6ab4",
         "fe245a6ec20ca8042d7a465b44dc1518705e41ac30d7c204ee837f7a9783d2a0",
         "15207d4bd4d3c82675796cb5212b2c95cfbefd30052d2a5883c086643a0694a9",
-        "0fca91d9fd48a236ebed18a681e876c5c13e96a224828671bdc5e3ff667d293f",
-        "5ed0e1e63b095759091b33b92944f5ce5b93bf9557ec4a69b5a201fdbaf46f21",
+        "5ec09c44508ef42bab4366177d94959f30e462470b5b47442e2a4056bc25283f",
+        "d238f86645214f5c7f82f0c0bc4a32531bb8160eba05c2e8c1128c491ae355b1",
     ),
     ("1", "5"): (
         "e2a4edc4760171d23eefeeaa641de10e15ccaa5f53c9e488c0e615b9817d5577",
@@ -88,8 +88,8 @@ _GOLDEN_SHA256 = {
         "2e3a525acbdb16225ee0efd3b4da007bfe6de350d77ad3f48ec0c953846653e9",
         "1244eaf6ce01dbd2b5d86173c35d4f357e39ca899872ea85d8d4d73acf08bc0e",
         "f548f79ab11e76e8f80c144094205bdf91f4acf7f9be0591efb0b474ac6b8d3f",
-        "bd887f534a7c0b9383287a08b56aa2332d988e31f9558bc1db8aca2318f0df63",
-        "a3cf46a0a8620cd72e58777011cbc77046c96654e3cbad32a43b75a1245d0928",
+        "e80619cb43512231c03c2f0fbcab9146d1cd2a7be1121ad97a1b2d9eafce1495",
+        "89b81ecc5a926dd16178ae6551ba9d32131c09051d51bcc4e1c82a689bc1fb09",
     ),
     ("2", "6.75"): (
         "ae3e7cb0d4c28374b8e6cb20ae68ac6645b6da3f3f30297b0c9ed03843d785a7",
@@ -99,8 +99,8 @@ _GOLDEN_SHA256 = {
         "21487af1e6b95c0f74ee96c84fa4983f308b55e8ab9863f2983234f9a562d411",
         "3bab084caf14e4c0925fb761fec3923fd72416713b06ffd92e433849d3d30cb0",
         "c199c58e01b2816cc1bb501ab4befba219fd1443a091101d785fba20bd980128",
-        "a9588b790e84f0180c8e5ec74daf347b22e02af01022146305fa3c409bbd36d2",
-        "17ef8dfe24d10257af020ed3132a7d19f9516d169f2c706ba19e6da64be73abc",
+        "6fe98829157e2c313fa1721f90d71b63e67a3e404b0ea9bf0f3899054b20f813",
+        "363fc09e6aa6544c8c5ef0ba85e060ebe25c44cf37a2fb1093c3af9bfab4f2c4",
     ),
     ("6", "2.25"): (
         "3bb09c33a29f02e2d7a255140aedaf9b4db23985c18dc0836df80250c9db173e",
@@ -110,8 +110,8 @@ _GOLDEN_SHA256 = {
         "67efe40d48b824cbcc6e411097c911381fa81f69f83a679d88b5db0559fd5888",
         "b7dc3e95f4905779881f41972dedaaf9bbb910644a21ca364ec1d1ae5758acdb",
         "3cb735a04ae685b9ce22c419e6452f3a99d9ded8de9e11fb476c3b2c071c8f7a",
-        "25910bea8bf800cf8a78fd3a9eb03201b42f940183dc68fbd7dd571b9df56210",
-        "f096530fc50735bed8d36420baa0e9e4f1fa07e38a9860403e8969786bd22f7c",
+        "042ce439d84781997eca1e7f994b0c2673576f9bda687be77d6677efd63e3212",
+        "102ca3f53807e11e01106248ad0080946f974fd6a65fdd7c2fc1a59e29b820c5",
     ),
 }
 
@@ -127,6 +127,29 @@ def test_default_outputs_are_unchanged(capsys):
             if hashlib.sha256(out.encode()).hexdigest() != digest:
                 changed.append(" ".join(argv))
     assert changed == []
+
+
+def test_golden_scatter_outputs_match_the_gamma_formula(capsys):
+    # an independent check of the pinned scatter digests: every printed T(k)
+    # against the mpmath Gamma-function closed form
+    from test_verify import _gamma_transmission
+    for v1, v2 in _GOLDEN_SHA256:
+        for cmd in _GOLDEN_COMMANDS:
+            if cmd[0] != "scatter":
+                continue
+            code, out, err = _run(capsys, [cmd[0], "--v1", v1, "--v2", v2, *cmd[1:]])
+            assert code == 0 and err == ""
+            if "json" in cmd:
+                res = json.loads(out)["results"]
+                rows = list(zip(res["k"], res["t_re"], res["t_im"]))
+            else:
+                rows = [tuple(map(float, line.split(",")[:3]))
+                        for line in out.strip().split("\n")[1:]]
+            assert len(rows) == 11
+            for k, t_re, t_im in rows:
+                ref = _gamma_transmission(float(v1), float(v2), k)
+                t = complex(t_re, t_im)
+                assert abs(t - ref) <= 2e-6 * abs(ref) * max(1.0, abs(ref)), (v1, v2, k)
 
 
 def test_wavefunction_csv(capsys):

@@ -423,7 +423,7 @@ def _gamma_transmission(v1, v2, k):
         return complex(num / den)
 
 
-@pytest.mark.parametrize("v1, v2", [(2.0, 6.75), (1.0, 5.0), (12.0, 6.0)])
+@pytest.mark.parametrize("v1, v2", [(2.0, 6.75), (1.0, 5.0), (12.0, 6.0), (400.0, 100.0)])
 def test_scattering_matches_gamma_closed_form(v1, v2):
     grid = GridSpec(20.0, 201)
     params = CouplingParams(v1, v2)
@@ -431,6 +431,63 @@ def test_scattering_matches_gamma_closed_form(v1, v2):
         t = scattering(_pot(params), k, grid).transmission
         ref = _gamma_transmission(v1, v2, k)
         assert abs(t - ref) <= 2e-6 * abs(ref) * max(1.0, abs(ref)), (k, t, ref)
+
+
+def _gaussian_well(x):
+    # a well that the wall samples at -L, 0 and L miss, so a momentum's entry
+    # rung depends on k alone, while inside it |h^2 (V - k^2)| can pass 0.1
+    x = np.asarray(x, dtype=float)
+    return -40.0 * np.exp(-4.0 * (x - 5.0) ** 2)
+
+
+@pytest.mark.parametrize("potential, ks, covers", [
+    # 41 momenta: more than the 16 that share a tile at 128 steps per half
+    (_pot(PARAMS_COMPLEX), np.linspace(0.4, 3.0, 41), "tiles"),
+    # k <= 1.3 enter at 128 steps per half, 5.5 and 6 at 512; at 512 steps the
+    # well needs the closed-form step exponentials for k = 5.5 and 6 and only
+    # the series for k <= 1.3, and k = 5.5 shares a tile with smaller momenta
+    (_gaussian_well, np.array([1.0, 6.0, 1.3, 5.5, 0.7]), "forms"),
+    # k = 0.5 leaves at 1024 steps per half before k = 30 enters at 4096
+    (_pot(PARAMS_COMPLEX), np.array([0.5, 30.0]), "gap"),
+], ids=["sweep", "mixed-forms", "entry-after-a-gap"])
+def test_batched_momenta_match_single_calls_bit_for_bit(monkeypatch, caplog, potential,
+                                                        ks, covers):
+    grid = GridSpec(20.0, 201)
+    ks = np.random.default_rng(0).permutation(ks)
+    rungs, rows = [], []
+    propagators = verify_module._propagators
+    step_exponentials = verify_module._step_exponentials
+
+    def spy_propagators(potential, L, n, k2):
+        rungs.append((n, len(k2)))
+        return propagators(potential, L, n, k2)
+
+    def spy_step_exponentials(w1, w2, h):
+        c = (np.sqrt(3.0) / 12.0) * h * h * (w1 - w2)
+        s2 = c * c + h * (0.5 * h * (w1 + w2))
+        rows.append(np.any(np.abs(s2) >= 0.1, axis=(1, 2)))
+        return step_exponentials(w1, w2, h)
+    monkeypatch.setattr(verify_module, "_propagators", spy_propagators)
+    monkeypatch.setattr(verify_module, "_step_exponentials", spy_step_exponentials)
+    with caplog.at_level(logging.DEBUG, logger="scarf_spectra"):
+        batch = scattering(potential, ks, grid)
+    # each record's Richardson estimate depends on the last three rungs
+    records = [r.args for r in caplog.records]
+    jost = jost_solutions(potential, ks, grid)
+    # the batch spread over several tiles at some rung, mixed the two forms of
+    # the step exponentials within one tile, or skipped rungs no momentum was on
+    tile = verify_module._BLOCK // 2
+    assert {"tiles": any(m * min(n, tile) > tile for n, m in rungs),
+            "forms": any(r.any() and not r.all() for r in rows),
+            "gap": any(b > 2 * a for (a, _), (b, _) in zip(rungs, rungs[1:]))}[covers]
+    assert len(batch) == len(records) == len(ks)
+    for i, k in enumerate(ks):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="scarf_spectra"):
+            assert batch[i] == scattering(potential, k, grid), k
+        assert [r.args for r in caplog.records] == [records[i]], k
+        for got, single in zip(jost, jost_solutions(potential, k, grid)):
+            assert np.array_equal(got[i], single), k
 
 
 def test_partner_scattering_matches_susy_relation():
@@ -560,6 +617,27 @@ def test_singularity_scan_interior_peaks_are_not_window_edges(pair, window):
     (pt,) = singularity_scan([CouplingParams(*pair)], window, GridSpec(20.0, 1001),
                              coarse_steps=9)
     assert not pt.at_window_edge and window[0] < pt.k_peak < window[1]
+
+
+def test_singularity_scan_integrates_each_momentum_once(monkeypatch):
+    # one batched coarse pass, one call per golden-section probe, and the
+    # peak's values taken from the probe that integrated it
+    calls = []
+    single = verify_module.scattering
+
+    def counting(potential, k, grid):
+        calls.append(np.atleast_1d(k).tolist())
+        return single(potential, k, grid)
+    monkeypatch.setattr(verify_module, "scattering", counting)
+    pair, grid = CouplingParams(2.0, 6.75), GridSpec(20.0, 1001)
+    (pt,) = singularity_scan([pair], (1.04, 1.08), grid, coarse_steps=9)
+    momenta = [k for ks in calls for k in ks]
+    assert len(calls[0]) == 9 and all(len(ks) == 1 for ks in calls[1:])
+    assert len(set(momenta)) == len(momenta) < 30
+    assert pt.k_peak in momenta
+    fresh = single(_pot(pair), pt.k_peak, grid)
+    assert pt.peak_height == abs(fresh.transmission)
+    assert pt.wronskian_ratio == fresh.wronskian_ratio
 
 
 def test_singularity_scan_validation():
