@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import os
 import sys
@@ -24,7 +25,7 @@ from .partner import (BRANCH_SIGNS, PartnerBranch, extended_potential,
                       factorization_residuals, partner_spectrum, solve_branch)
 from .spectrum import (detect_singularity, matching_residuals,
                        singularity_locus, spectrum)
-from .verify import GridSpec, discrete_spectrum, residual, scattering
+from .verify import REFERENCE_GRID, GridSpec, discrete_spectrum, residual, scattering
 from .wavefunctions import bound_state
 
 SCHEMA = "scarf-spectra/1"
@@ -70,16 +71,12 @@ def _dumps(obj, indent: int = 0) -> str:
             return "[" + ", ".join(_fnum(v) for v in obj) + "]"
         items = ",\n".join(pad_in + _dumps(v, indent + 1) for v in obj)
         return "[\n%s\n%s]" % (items, pad)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
+    if obj is None or isinstance(obj, (bool, str)):
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, (complex, np.complexfloating)):
         return '{"re": %s, "im": %s}' % (_fnum(obj.real), _fnum(obj.imag))
     if isinstance(obj, (int, float, np.integer, np.floating)):
         return _fnum(obj)
-    if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -125,13 +122,11 @@ def _level_json(lv) -> dict:
 
 def _cmd_spectrum(args: argparse.Namespace):
     d = derive(CouplingParams(args.v1, args.v2))
-    levels = spectrum(d)
-    results = {
+    return {
         "regime": d.regime.value,
         "p": d.p, "q": d.q, "s": d.s, "nu": d.nu,
-        "levels": [_level_json(lv) for lv in levels],
+        "levels": [_level_json(lv) for lv in spectrum(d)],
     }
-    return results, None
 
 
 def _cmd_wavefunction(args: argparse.Namespace):
@@ -148,17 +143,13 @@ def _cmd_wavefunction(args: argparse.Namespace):
     xs = np.linspace(-args.domain, args.domain, args.points or 401)
     vals = bound_state(target, xs)
     check_finite("psi", vals, xs)
-    if args.format == "csv":
-        rows = [(x, v.real, v.imag, abs(v)) for x, v in zip(xs, vals)]
-        return None, ("x,psi_re,psi_im,psi_abs", rows)
-    results = {
+    return {
         "level": _level_json(target),
         "x": list(xs),
         "psi_re": list(vals.real),
         "psi_im": list(vals.imag),
         "psi_abs": list(np.abs(vals)),
     }
-    return results, None
 
 
 def _cmd_singularity(args: argparse.Namespace):
@@ -177,7 +168,7 @@ def _cmd_singularity(args: argparse.Namespace):
                                         args.points or 21)
         ]
         results["locus"] = {"n": args.n, "points": points}
-    return results, None
+    return results
 
 
 def _branch_json(branch: PartnerBranch, d, params: CouplingParams,
@@ -220,26 +211,21 @@ def _cmd_partner(args: argparse.Namespace):
             branches.append({"branch": _BRANCH_LABELS[(ep, em)], "error": str(exc)})
             continue
         branches.append(_branch_json(branch, d, params, xs))
-    return {"branches": branches}, None
+    return {"branches": branches}
 
 
 def _cmd_scatter(args: argparse.Namespace):
     params = CouplingParams(args.v1, args.v2)
     grid = GridSpec(args.domain, 201)           # scattering reads half_width only
     ks = np.linspace(args.k_min, args.k_max, args.k_steps)
-    rows = [(sc.k, sc.transmission.real, sc.transmission.imag, abs(sc.transmission),
-             sc.wronskian_ratio)
-            for sc in scattering(lambda x: potential_value(params, x), ks, grid)]
-    if args.format == "csv":
-        return None, ("k,t_re,t_im,t_abs,wronskian_ratio", rows)
-    results = {
-        "k": [r[0] for r in rows],
-        "t_re": [r[1] for r in rows],
-        "t_im": [r[2] for r in rows],
-        "t_abs": [r[3] for r in rows],
-        "wronskian_ratio": [r[4] for r in rows],
+    scs = scattering(lambda x: potential_value(params, x), ks, grid)
+    return {
+        "k": [sc.k for sc in scs],
+        "t_re": [sc.transmission.real for sc in scs],
+        "t_im": [sc.transmission.imag for sc in scs],
+        "t_abs": [abs(sc.transmission) for sc in scs],
+        "wronskian_ratio": [sc.wronskian_ratio for sc in scs],
     }
-    return results, None
 
 
 def _worst(values) -> float:
@@ -247,22 +233,20 @@ def _worst(values) -> float:
     return float(np.max(list(values)))
 
 
-def _verify_checks(args: argparse.Namespace) -> list:
+def _cmd_verify(args: argparse.Namespace):
     params = CouplingParams(args.v1, args.v2)
     d = derive(params)
-    grid = GridSpec(args.domain, args.points or 4001)
+    grid = GridSpec(args.domain, args.points or REFERENCE_GRID.n_points)
     xs = grid.points()
     potential = lambda x: potential_value(params, x)
     checks = []
 
-    def record(name, value, threshold, note=""):
-        checks.append({"name": name, "passed": bool(value < threshold),
-                       "value": float(value), "threshold": float(threshold),
-                       "note": note})
-
-    def skip(name, note):
-        checks.append({"name": name, "passed": True, "value": None,
-                       "threshold": None, "note": note})
+    def record(name, value=None, threshold=None, note=""):
+        # a check with no value was skipped, and passes
+        skipped = value is None
+        checks.append({"name": name, "passed": skipped or bool(value < threshold),
+                       "value": None if skipped else float(value),
+                       "threshold": None if skipped else float(threshold), "note": note})
 
     vv = potential_value(params, xs)
     scale = np.max(np.abs(vv))
@@ -270,49 +254,43 @@ def _verify_checks(args: argparse.Namespace) -> list:
            np.max(np.abs(np.conj(vv[::-1]) - vv)) / scale, 1e-13)
 
     if d.regime is Regime.BOUNDARY:
-        skip("spectrum", "regime boundary: spectral checks skipped")
-        return checks
-
-    levels = spectrum(d)
-    if levels:
-        record("matching-conditions",
-               _worst(r for lv in levels for r in matching_residuals(lv, params).values()),
-               1e-10)
-        values, notes = [], []
-        for lv in levels:
-            try:
-                values.append(residual(potential, lambda x, _lv=lv: bound_state(_lv, x),
-                                       lv.energy, grid))
-            except DomainError as exc:
-                values.append(math.nan)
-                notes.append(f"n = {lv.n}, epsilon = {lv.epsilon:+d}: {exc}")
-        record("wavefunction-residuals", _worst(values), 1e-6, note=notes[0] if notes else "")
-        numeric = discrete_spectrum(potential, grid, count=len(levels))
-        gap = _worst(min((abs(complex(lv.energy) - z) for z in numeric), default=np.inf)
-                     / (1.0 + abs(lv.energy)) for lv in levels)
-        record("analytic-vs-numeric-levels", gap, 1e-3, note=f"{len(levels)} levels")
+        record("spectrum", note="regime boundary: spectral checks skipped")
     else:
-        skip("spectrum", "no bound levels")
+        levels = spectrum(d)
+        if levels:
+            record("matching-conditions",
+                   _worst(r for lv in levels for r in matching_residuals(lv, params).values()),
+                   1e-10)
+            values, notes = [], []
+            for lv in levels:
+                try:
+                    values.append(residual(potential, lambda x, _lv=lv: bound_state(_lv, x),
+                                           lv.energy, grid))
+                except DomainError as exc:
+                    values.append(math.nan)
+                    notes.append(f"n = {lv.n}, epsilon = {lv.epsilon:+d}: {exc}")
+            record("wavefunction-residuals", _worst(values), 1e-6,
+                   note=notes[0] if notes else "")
+            numeric = discrete_spectrum(potential, grid, count=len(levels))
+            gap = _worst(min((abs(complex(lv.energy) - z) for z in numeric), default=np.inf)
+                         / (1.0 + abs(lv.energy)) for lv in levels)
+            record("analytic-vs-numeric-levels", gap, 1e-3, note=f"{len(levels)} levels")
+        else:
+            record("spectrum", note="no bound levels")
 
-    if d.nu > 0:
-        for ep, em in BRANCH_SIGNS:
-            name = "factorization-" + _BRANCH_LABELS[(ep, em)]
-            try:
-                branch = solve_branch(d, ep, em)
-            except SingularBranchError as exc:
-                skip(name, str(exc))
-                continue
-            res_v, res_ext = factorization_residuals(branch, params, xs)
-            record(name, _worst((res_v, res_ext)), 1e-8)
-    else:
-        skip("factorization", "v2 < 0: partner checks skipped")
-    return checks
-
-
-def _cmd_verify(args: argparse.Namespace):
-    checks = _verify_checks(args)
-    results = {"all_passed": all(c["passed"] for c in checks), "checks": checks}
-    return results, None
+        if d.nu > 0:
+            for ep, em in BRANCH_SIGNS:
+                name = "factorization-" + _BRANCH_LABELS[(ep, em)]
+                try:
+                    branch = solve_branch(d, ep, em)
+                except SingularBranchError as exc:
+                    record(name, note=str(exc))
+                    continue
+                res_v, res_ext = factorization_residuals(branch, params, xs)
+                record(name, _worst((res_v, res_ext)), 1e-8)
+        else:
+            record("factorization", note="v2 < 0: partner checks skipped")
+    return {"all_passed": all(c["passed"] for c in checks), "checks": checks}
 
 
 # every flag, declared once; _COMMANDS names the ones each command takes
@@ -333,6 +311,7 @@ _FLAGS = {
     "--out": dict(help="output file (default stdout)"),
 }
 
+# each command returns its results dict and nothing else; run alone renders it
 _COMMANDS = {
     "spectrum": (_cmd_spectrum, "analytic bound-state levels", ()),
     "wavefunction": (_cmd_wavefunction, "sample one bound state on a grid",
@@ -373,19 +352,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command, NumPy warnings silenced (a non-finite value
-    that reaches a result is a named error); returns the exit status."""
+    that reaches a result is a named error), and print its results as the JSON
+    document or, for --format csv, their list entries as columns; returns the
+    exit status."""
     try:
         with np.errstate(all="ignore"):
-            results, csv_payload = _COMMANDS[args.command][0](args)
+            results = _COMMANDS[args.command][0](args)
     except (DomainError, ValueError) as exc:
         _emit_error(exc)
         return 3
     except ConvergenceError as exc:
         _emit_error(exc)
         return 4
-    if csv_payload is not None:
-        header, rows = csv_payload
-        text = _csv(header.split(","), rows)
+    if args.format == "csv":
+        columns = {key: val for key, val in results.items() if isinstance(val, list)}
+        text = _csv(columns, zip(*columns.values()))
     else:
         inputs = {key: getattr(args, key) for key in _INPUT_KEYS}
         text = _dumps({"schema": SCHEMA, "inputs": inputs, "results": results}) + "\n"

@@ -440,8 +440,11 @@ def scattering(potential: Callable, k, grid: GridSpec):
     amplitudes are read from the plane-wave content of f+ at x = -L and of f-
     at x = +L, which ``jost_solutions`` gives to within
     ``_JOST_TOL`` (1 + max|f|), with ``_JOST_TOL`` = 1e-11; only
-    ``grid.half_width`` is used.  The left/right transmission amplitudes
-    coincide; ``transmission`` is the
+    ``grid.half_width`` L is used.  They are the amplitudes of V cut at
+    |x| = L, whose Scarf II tail decays only like e^{-|x|}: T of (2, 6.75) at
+    k = 1.06 is off the uncut closed form by 3.8e-5 relative with L = 20 and
+    by 1.2e-9 with L = 30, so L (the CLI's ``--domain``) sets the accuracy.  The
+    left/right transmission amplitudes coincide; ``transmission`` is the
     left-incidence one.  ``wronskian_ratio`` is |W[f+, f-]| at x = 0 scaled
     by the size of its terms; it dips toward 0 at a spectral singularity.
     """
@@ -551,8 +554,8 @@ def singularity_scan(params_curve: Sequence, k_window, grid: GridSpec,
                      coarse_steps: int = 31, xtol: float = 1e-6) -> list:
     """Locate the |T(k)| maximum inside a momentum window for each coupling.
 
-    ``params_curve`` is a sequence of CouplingParams (or any objects accepted
-    by the potential closure).  Each point gets a coarse scan over
+    ``params_curve`` is a sequence of CouplingParams, which the potential
+    closure passes to ``potential_value``.  Each point gets a coarse scan over
     ``coarse_steps`` momenta, in one batched ``scattering`` call, followed by
     golden-section refinement of the bracketed peak, one call per probe; the
     ``ScanPoint`` takes its values from the call that integrated ``k_peak``.

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -499,3 +501,53 @@ def test_module_entry_point_subprocess():
     doc = json.loads(proc.stdout)
     assert doc["results"]["levels"][0]["energy"]["re"] == pytest.approx(
         -8.329001404494074, rel=1e-11)
+
+
+def test_error_message_with_control_characters_is_valid_json(tmp_path, capsys):
+    # a tab or newline in a message must be escaped, or stderr is not JSON
+    path = tmp_path / "missing\tdir\nname" / "x.json"
+    code, out, err = _run(capsys, ["spectrum", "--v1", "12", "--v2", "6", "--out", str(path)])
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "OSError"
+    assert doc["error"]["message"].startswith(f"cannot write --out {path}: ")
+
+
+@pytest.mark.parametrize("argv, n_rows", [
+    (["wavefunction", "--v1", "2", "--v2", "6.75", "--n", "0", "--epsilon", "+"], 401),
+    (["wavefunction", "--v1", "12", "--v2", "6", "--n", "0", "--epsilon", "-",
+      "--points", "7", "--domain", "3"], 7),
+    (["scatter", "--v1", "2", "--v2", "6.75", "--k-min", "0.9", "--k-max", "1.3",
+      "--k-steps", "3"], 3),
+    (["scatter", "--v1", "12", "--v2", "6", "--k-min", "0.5", "--k-max", "2.5",
+      "--k-steps", "3", "--domain", "30"], 3),
+])
+def test_csv_columns_are_the_json_results_lists(capsys, argv, n_rows):
+    code, table, err = _run(capsys, argv + ["--format", "csv"])
+    assert code == 0 and err == ""
+    code, document, err = _run(capsys, argv + ["--format", "json"])
+    assert code == 0 and err == ""
+    keys = [key for key, value in json.loads(document)["results"].items()
+            if isinstance(value, list)]
+    header, *rows = table.splitlines()
+    assert header.split(",") == keys
+    assert len(rows) == n_rows
+    # the JSON text of each column, one line per list, as printed
+    for i, key in enumerate(keys):
+        (line,) = re.findall(r'^    "%s": \[(.*)\],?$' % key, document, re.M)
+        assert [row.split(",")[i] for row in rows] == line.split(", "), key
+
+
+def test_readme_flag_table_matches_the_parser():
+    # each row of the README's subcommand table lists exactly the flags that
+    # _COMMANDS gives the subcommand, in order ("none" for no flags)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = {}
+    for line in readme.splitlines():
+        cells = [cell.strip() for cell in line.split("|")]
+        if len(cells) == 5 and re.fullmatch(r"`[a-z]+`", cells[1]):
+            # a parenthesis qualifies the flag before it and names no new one
+            flags = tuple(re.findall(r"`(--[a-z0-9-]+)`", re.sub(r"\(.*?\)", "", cells[2])))
+            assert flags or cells[2] == "none", line
+            table[cells[1].strip("`")] = flags
+    assert table == {name: spec[2] for name, spec in cli._COMMANDS.items()}
