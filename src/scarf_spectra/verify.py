@@ -22,10 +22,10 @@ counts, doubling from 1 per half box, and one vectorized call of V per rung
 serves both half boxes and every momentum on it.  Each momentum enters at a
 rung set by |V - k^2| at -L, 0 and L and leaves once the error estimate of its
 latest Richardson extrapolation meets the fixed tolerance ``_JOST_TOL``.  The
-|T| peak search is a batched coarse pass and a golden-section search written
-here, with scipy's relative stopping rule.  ``residual`` applies the
-eighth-order central finite-difference Laplacian on a uniform grid.  The
-module needs numpy only.
+|T| peak search samples a momentum window in one batched call, then bisects
+round the largest |T|, both midpoints in one batched call per step.
+``residual`` applies the eighth-order central finite-difference Laplacian on a
+uniform grid.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -77,10 +77,6 @@ _BLOCK = 4096
 _MAX_STEPS = 1 << 17
 # relative and absolute tolerance of jost_solutions
 _JOST_TOL = 1e-11
-
-# golden-section ratio and its complement, as scipy.optimize's golden method
-_GOLDEN_R = 0.61803399
-_GOLDEN_C = 1.0 - _GOLDEN_R
 
 # discrete_spectrum: scale c of the map x = c xi / sqrt(1 - xi^2), first and
 # largest Chebyshev degree N (each step takes N to 3N//2, and the largest is a
@@ -477,77 +473,41 @@ class ScanPoint:
     k_peak: float
     peak_height: float
     wronskian_ratio: float
+    # True when the largest sampled |T| is at an end of the momentum window:
+    # k_peak is then exactly that end, not a maximum
     at_window_edge: bool = False
-
-
-def _golden_max(f: Callable, x0: float, x1: float, x3: float, f1: float,
-                tol: float) -> float:
-    """Golden-section search for the maximum of f in the bracket x0 < x1 < x3,
-    where f(x1) = f1 is not below f at the ends.
-
-    The probes are those of the ``golden`` method of scipy.optimize (its ratio
-    constant, its first inner point, its update order), and so is the stop:
-    when |x3 - x0| <= tol (|x1| + |x2|), or after 5000 steps.  It returns the
-    better inner point.
-    """
-    if abs(x3 - x1) > abs(x1 - x0):
-        x2 = x1 + _GOLDEN_C * (x3 - x1)
-        f2 = f(x2)
-    else:
-        x2, f2 = x1, f1
-        x1 = x2 - _GOLDEN_C * (x2 - x0)
-        f1 = f(x1)
-    for _ in range(5000):
-        if abs(x3 - x0) <= tol * (abs(x1) + abs(x2)):
-            break
-        if f2 > f1:
-            x0, x1, f1 = x1, x2, f2
-            x2 = _GOLDEN_R * x1 + _GOLDEN_C * x3
-            f2 = f(x2)
-        else:
-            x3, x2, f2 = x2, x1, f1
-            x1 = _GOLDEN_R * x2 + _GOLDEN_C * x0
-            f1 = f(x1)
-    return x1 if f1 > f2 else x2
 
 
 def _peak_in_window(potential: Callable, k_window, grid: GridSpec,
                     coarse_steps: int, xtol: float):
-    """(k, at_edge, result): the momentum of the largest |T| in ``k_window``,
-    whether it is an end of the window rather than a maximum (the coarse
-    maximum is at that end and k lies within the golden-section tolerance
-    xtol (|k| + |end|) of it), and the ``ScatteringResult`` at k.  The coarse
-    momenta share one ``scattering`` call and each probe of the search is one
-    call; the result at k is the one already integrated there (a fresh call
-    only if clipping k to the window moved it)."""
+    """(k, at_edge, result): the sampled momentum of the largest |T| in
+    ``k_window``, whether it is an end of the window, and the
+    ``ScatteringResult`` integrated there.
+
+    One batched ``scattering`` call samples ``coarse_steps`` equally spaced
+    momenta.  Then each step takes the sample of largest |T| and integrates
+    the midpoints of its one or two neighbouring intervals in one batched
+    call, until that bracket spans at most xtol (|lo| + |hi|) or no midpoint
+    lies strictly inside its interval.  Each momentum is integrated once.
+    """
     k_lo, k_hi = float(k_window[0]), float(k_window[1])
     if not (0.0 < k_lo < k_hi):
         raise DomainError(f"invalid momentum window ({k_lo}, {k_hi})")
     if coarse_steps < 5:
         raise DomainError(f"coarse_steps must be >= 5, got {coarse_steps}")
+    if not (math.isfinite(xtol) and xtol > 0.0):
+        raise DomainError(f"xtol must be finite and positive, got {xtol}")
 
-    ks = np.linspace(k_lo, k_hi, coarse_steps)
-    coarse = scattering(potential, ks, grid)
-    seen = dict(zip(ks.tolist(), coarse))
-
-    def height(k: float) -> float:
-        sc = seen[float(k)] = scattering(potential, k, grid)
-        return abs(sc.transmission)
-
-    hs = np.array([abs(sc.transmission) for sc in coarse])
-    i = int(np.argmax(hs))
-    lo = ks[max(i - 1, 0)]
-    hi = ks[min(i + 1, coarse_steps - 1)]
-    if i == 0 or i == coarse_steps - 1:
-        # peak on a window edge: search the edge interval from its golden point
-        mid = lo + _GOLDEN_C * (hi - lo)
-        k = _golden_max(height, lo, mid, hi, height(mid), xtol)
-        at_edge = abs(k - ks[i]) <= xtol * (abs(k) + abs(ks[i]))
-    else:
-        k = _golden_max(height, lo, ks[i], hi, hs[i], xtol)
-        at_edge = False
-    k = float(np.clip(k, k_lo, k_hi))
-    return k, bool(at_edge), seen[k] if k in seen else scattering(potential, k, grid)
+    found = scattering(potential, np.linspace(k_lo, k_hi, coarse_steps), grid)
+    while True:
+        i = max(range(len(found)), key=lambda j: abs(found[j].transmission))
+        k = found[i].k
+        lo, hi = found[max(i - 1, 0)].k, found[min(i + 1, len(found) - 1)].k
+        mids = [m for a, b in ((lo, k), (k, hi)) if a < (m := 0.5 * (a + b)) < b]
+        if hi - lo <= xtol * (abs(lo) + abs(hi)) or not mids:
+            return k, k in (k_lo, k_hi), found[i]
+        found = sorted(found + scattering(potential, np.array(mids), grid),
+                       key=lambda sc: sc.k)
 
 
 def singularity_scan(params_curve: Sequence, k_window, grid: GridSpec,
@@ -555,14 +515,16 @@ def singularity_scan(params_curve: Sequence, k_window, grid: GridSpec,
     """Locate the |T(k)| maximum inside a momentum window for each coupling.
 
     ``params_curve`` is a sequence of CouplingParams, which the potential
-    closure passes to ``potential_value``.  Each point gets a coarse scan over
-    ``coarse_steps`` momenta, in one batched ``scattering`` call, followed by
-    golden-section refinement of the bracketed peak, one call per probe; the
+    closure passes to ``potential_value``.  Each point samples ``coarse_steps``
+    equally spaced momenta in one batched ``scattering`` call, then bisects
+    round the sample of largest |T|, both midpoints of its neighbouring
+    intervals in one batched call per step, until that bracket spans at most
+    ``xtol`` (|lo| + |hi|); ``xtol`` must be finite and positive.  The
     ``ScanPoint`` takes its values from the call that integrated ``k_peak``.
     On the singularity locus the peak is a near-pole of |T|
     with a collapsing Wronskian; off it, a finite bump.  When |T| is largest
-    at an end of the window, ``k_peak`` is that end (within the search
-    tolerance), not a maximum, and ``at_window_edge`` is True.
+    at an end of the window, ``k_peak`` is exactly that end, not a maximum,
+    and ``at_window_edge`` is True.
     """
     from .params import potential_value
 

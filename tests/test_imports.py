@@ -36,3 +36,31 @@ def test_public_names_are_the_imported_names():
     assert len(exported) == len(set(exported))
     assert all(hasattr(scarf_spectra, name) for name in exported)
     assert set(exported) == imported
+
+
+# the analytic modules, whose closed forms the oracle in verify.py checks
+ANALYTIC = {"spectrum", "wavefunctions", "partner"}
+
+
+def _analytic_imports(tree: ast.Module) -> list:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if ANALYTIC & set(name.split("."))]
+    return found
+
+
+def test_verify_imports_no_analytic_module():
+    # verify.py treats V as an opaque callable and shares no algebra with the
+    # closed forms it checks; every import counts, also one inside a function
+    assert _analytic_imports(ast.parse("from .spectrum import spectrum")) != []
+    assert _analytic_imports(ast.parse("def f():\n    from . import partner")) != []
+    assert _analytic_imports(ast.parse("import scarf_spectra.wavefunctions")) != []
+    verify = PACKAGE / "verify.py"
+    assert _analytic_imports(ast.parse(verify.read_text(), str(verify))) == []

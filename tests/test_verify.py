@@ -9,9 +9,10 @@ import scarf_spectra.verify as verify_module
 
 from scarf_spectra import (BRANCH_SIGNS, ConvergenceError, CouplingParams,
                            DomainError, GridSpec, REFERENCE_GRID, bound_state,
-                           derive, discrete_spectrum, extended_potential,
-                           jost_solutions, potential_value, residual, scattering,
-                           singularity_scan, solve_branch, spectrum)
+                           derive, detect_singularity, discrete_spectrum,
+                           extended_potential, jost_solutions, potential_value,
+                           residual, scattering, singularity_scan, solve_branch,
+                           spectrum)
 
 PARAMS_REAL = CouplingParams(12.0, 6.0)
 PARAMS_COMPLEX = CouplingParams(1.0, 5.0)
@@ -559,29 +560,10 @@ def test_jost_solutions_debug_record(caplog):
 # singularity scan
 # ---------------------------------------------------------------------------
 
-def test_golden_max_follows_scipy_golden():
-    import scipy.optimize
-
-    def peak(k):
-        return 1.0 / (1e-4 + (k - 1.0606601) ** 2)
-    for lo, mid, hi, xtol in ((0.9, 1.05, 1.2, 1e-6), (0.9, 1.15, 1.2, 1e-6),
-                              (1.0, 1.07, 1.1, 1e-8), (0.5, 0.6, 2.0, 1e-4)):
-        ref = scipy.optimize.minimize_scalar(
-            lambda k: -peak(k), bracket=(lo, mid, hi), method="golden",
-            options={"xtol": xtol}).x
-        got = verify_module._golden_max(peak, lo, mid, hi, peak(mid), xtol)
-        assert got == ref
-
-
-def test_golden_max_edge_interval():
-    # a maximum on the bracket's edge: the search closes in on it and stops
-    # at the relative rule |x3 - x0| <= xtol (|x1| + |x2|)
-    def slope(k):
-        return k
-    for lo, hi, xtol in ((1.0, 1.2, 1e-6), (0.9, 1.3, 1e-9), (0.05, 0.09, 1e-6)):
-        mid = lo + verify_module._GOLDEN_C * (hi - lo)
-        got = verify_module._golden_max(slope, lo, mid, hi, mid, xtol)
-        assert hi - 2.0 * xtol * hi <= got < hi
+# the windows of the transmission-scan benchmark, round the n* = 1 locus point,
+# its off-locus neighbour and the n* = 2 locus point
+BENCHMARK_SCANS = [((2.0, 6.75), (1.04, 1.08)), ((2.2, 6.75), (1.02, 1.06)),
+                   ((6.0, 18.75), (1.75, 1.79))]
 
 
 def test_singularity_scan_locus_vs_off_locus():
@@ -609,9 +591,7 @@ def test_singularity_scan_flags_a_window_edge():
     assert not near.at_window_edge and abs(near.k_peak - 1.0606601) < 1e-5
 
 
-@pytest.mark.parametrize("pair, window", [((2.0, 6.75), (1.04, 1.08)),
-                                          ((2.2, 6.75), (1.02, 1.06)),
-                                          ((6.0, 18.75), (1.75, 1.79))])
+@pytest.mark.parametrize("pair, window", BENCHMARK_SCANS)
 def test_singularity_scan_interior_peaks_are_not_window_edges(pair, window):
     # the windows of the transmission-scan benchmark each hold their peak
     (pt,) = singularity_scan([CouplingParams(*pair)], window, GridSpec(20.0, 1001),
@@ -620,24 +600,60 @@ def test_singularity_scan_interior_peaks_are_not_window_edges(pair, window):
 
 
 def test_singularity_scan_integrates_each_momentum_once(monkeypatch):
-    # one batched coarse pass, one call per golden-section probe, and the
-    # peak's values taken from the probe that integrated it
+    # one batched coarse pass, then one batched call of at most two midpoints
+    # per bisection step, and the peak's values taken from the call that
+    # integrated it
     calls = []
     single = verify_module.scattering
 
     def counting(potential, k, grid):
-        calls.append(np.atleast_1d(k).tolist())
+        assert np.ndim(k) == 1
+        calls.append(list(k))
         return single(potential, k, grid)
     monkeypatch.setattr(verify_module, "scattering", counting)
     pair, grid = CouplingParams(2.0, 6.75), GridSpec(20.0, 1001)
     (pt,) = singularity_scan([pair], (1.04, 1.08), grid, coarse_steps=9)
     momenta = [k for ks in calls for k in ks]
-    assert len(calls[0]) == 9 and all(len(ks) == 1 for ks in calls[1:])
-    assert len(set(momenta)) == len(momenta) < 30
+    assert len(calls[0]) == 9 and all(len(ks) <= 2 for ks in calls[1:])
+    assert len(calls) <= 16
+    assert len(set(momenta)) == len(momenta)
     assert pt.k_peak in momenta
     fresh = single(_pot(pair), pt.k_peak, grid)
     assert pt.peak_height == abs(fresh.transmission)
     assert pt.wronskian_ratio == fresh.wronskian_ratio
+
+
+def _gamma_peak(v1, v2, lo, hi):
+    """(k, |T|) of the largest Gamma-form |T| in [lo, hi], by ternary search
+    (the windows below hold one maximum)."""
+    height = lambda k: abs(_gamma_transmission(v1, v2, k))
+    while hi - lo > 1e-10:
+        a, b = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        if height(a) < height(b):
+            lo = a
+        else:
+            hi = b
+    k = 0.5 * (lo + hi)
+    return k, height(k)
+
+
+@pytest.mark.parametrize("pair, window", BENCHMARK_SCANS)
+def test_singularity_scan_peaks_match_the_gamma_form(pair, window):
+    # the tolerances of the transmission-scan benchmark's scan check
+    params = CouplingParams(*pair)
+    (pt,) = singularity_scan([params], window, GridSpec(20.0, 1001), coarse_steps=9)
+    d = derive(params)
+    if detect_singularity(d).is_singular:
+        # on the locus the pole of T is at k = q
+        q = d.q
+        ref = abs(_gamma_transmission(*pair, pt.k_peak))
+        assert abs(pt.k_peak - q) < 1e-5 and pt.wronskian_ratio < 1e-3
+        assert ref / 3.0 <= pt.peak_height <= 3.0 * ref
+    else:
+        k_ref, h_ref = _gamma_peak(*pair, *window)
+        assert abs(pt.k_peak - k_ref) < 1e-4
+        assert abs(pt.peak_height - h_ref) <= 1e-5 * h_ref * max(1.0, h_ref)
+        assert pt.wronskian_ratio > 1e-3
 
 
 def test_singularity_scan_validation():
@@ -648,6 +664,14 @@ def test_singularity_scan_validation():
         singularity_scan([PARAMS_COMPLEX], (0.0, 1.0), grid)
     with pytest.raises(DomainError):
         singularity_scan([PARAMS_COMPLEX], (0.9, 1.3), grid, coarse_steps=3)
+    for xtol in (0.0, -1.0, float("nan")):
+        with pytest.raises(DomainError, match="xtol"):
+            singularity_scan([PARAMS_COMPLEX], (0.9, 1.3), grid, xtol=xtol)
+    # a tolerance below the float spacing: the bisection stops once a midpoint
+    # is no longer strictly inside its interval
+    (pt,) = singularity_scan([CouplingParams(2.2, 6.75)], (1.02, 1.06), grid,
+                             coarse_steps=9, xtol=1e-300)
+    assert not pt.at_window_edge and 1.02 < pt.k_peak < 1.06
 
 
 # ---------------------------------------------------------------------------
