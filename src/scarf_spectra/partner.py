@@ -54,8 +54,6 @@ from .wavefunctions import (JacobiSpec, bound_state, bound_state_derivative,
 BRANCH_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 _DEGENERACY_TOL = 1e-9
-# off-grid step of the central differences for W' in factorization_residuals
-_DIFF_STEP = 1e-5
 
 
 class PartnerKind(enum.Enum):
@@ -118,7 +116,7 @@ def superpotential(branch: PartnerBranch, x):
 
 
 def superpotential_derivative(branch: PartnerBranch, x):
-    """Closed-form W'(x) (reference for the finite-difference checks)."""
+    """Closed-form W'(x)."""
     x = np.asarray(x, dtype=float)
     sh, ch = np.sinh(x), np.cosh(x)
     sech = 1.0 / ch
@@ -381,17 +379,11 @@ def partner_singularity(branch: PartnerBranch, d: DerivedParams) -> PartnerSingu
 
 
 def factorization_residuals(branch: PartnerBranch, params: CouplingParams, x):
-    """Max-norm residuals of V = W^2 - W' + E and V_ext = W^2 + W' + E.
-
-    W' is computed by 4th-order central differences with the off-grid step
-    ``_DIFF_STEP`` = 1e-5 (the superpotential is evaluable anywhere, so the
-    step need not be tied to the grid spacing).
-    """
+    """Max-norm residuals of V = W^2 - W' + E and V_ext = W^2 + W' + E,
+    with W' in closed form (``superpotential_derivative``)."""
     x = np.asarray(x, dtype=float)
-    h = _DIFF_STEP
     w = superpotential(branch, x)
-    dw = (superpotential(branch, x - 2 * h) - 8.0 * superpotential(branch, x - h)
-          + 8.0 * superpotential(branch, x + h) - superpotential(branch, x + 2 * h)) / (12.0 * h)
+    dw = superpotential_derivative(branch, x)
     base = w * w + branch.factorization_energy
     res_v = np.max(np.abs(base - dw - potential_value(params, x)))
     res_ext = np.max(np.abs(base + dw - extended_potential(branch, params, x)))

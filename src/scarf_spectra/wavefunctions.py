@@ -25,8 +25,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, check_finite
-from .params import (DerivedParams, Regime, WavefunctionParams, _as_complex,
+from .params import (DerivedParams, WavefunctionParams, _as_complex,
                      wavefunction_params)
+from .spectrum import detect_singularity
 
 # modulus below which a recurrence denominator factor counts as degenerate; a
 # smaller one costs digits (1e-4 relative at alpha + beta = -8 + 0.007), and
@@ -173,17 +174,17 @@ def bound_state_derivative(level, x):
 def singularity_wavefunction(report, d: DerivedParams, epsilon: int, x):
     """Bounded (non-decaying) state at a spectral singularity, N = 1.
 
-    ``report`` comes from the singularity detector; the state is the
+    ``report`` must be ``detect_singularity(d)``; the state is the
     bound-state ansatz continued to lam = n* + i eps q, which asymptotes to
     pure plane waves e^{-/+ i eps q x}.  The two quasi-parities are PT images
     of each other: conj(psi_+(-x)) = psi_-(x).
     """
     if epsilon not in (-1, 1):
         raise DomainError(f"epsilon must be +1 or -1, got {epsilon}")
+    if report != detect_singularity(d):
+        raise DomainError("singularity report does not belong to the given parameters")
     if not report.is_singular:
         raise DomainError("couplings are not on a singularity locus")
-    if d.regime is not Regime.COMPLEX_SPECTRUM:
-        raise DomainError("spectral singularities exist only in the complex-spectrum regime")
     n = report.n_star
     lam = n + 1j * epsilon * d.q
     mu = -1j * d.nu * (n + 0.5 - 1j * epsilon * d.q)

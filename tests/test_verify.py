@@ -365,6 +365,8 @@ def test_scattering_momentum_validation():
         scattering(_zero, -1.0, g)
     with pytest.raises(DomainError):
         scattering(_zero, 0.0, g)
+    with pytest.raises(DomainError, match="1-D array"):
+        jost_solutions(_zero, np.full((2, 2), 1.0), g)
 
 
 def test_off_locus_wronskian_bounded_away_from_zero():
@@ -701,3 +703,6 @@ def test_residual_validation():
     nan_tail = lambda x: np.where(x < -19.0, np.nan, bound_state(lv, x))
     with pytest.raises(DomainError, match="psi is not finite at x = -20$"):
         residual(_pot(PARAMS_REAL), nan_tail, lv.energy, REFERENCE_GRID)
+    nan_well = lambda x: np.where(x > 5.0, np.nan, potential_value(PARAMS_REAL, x))
+    with pytest.raises(DomainError, match="potential is not finite at x = 5.01$"):
+        residual(nan_well, lambda x: bound_state(lv, x), lv.energy, REFERENCE_GRID)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import scarf_spectra.wavefunctions as wavefunctions
 from scarf_spectra import (ConvergenceError, CouplingParams, DomainError, GridSpec,
                            JacobiSpec, bound_state, bound_state_derivative, derive,
                            detect_singularity, gudermannian, jacobi_derivative,
@@ -206,6 +207,18 @@ def test_singularity_state_requires_locus():
         singularity_wavefunction(rep, d, +1, 0.0)
 
 
+def test_singularity_state_requires_the_report_of_its_couplings():
+    # both pairs lie on a locus, n* = 1 for (2, 6.75) and n* = 2 for (6, 18.75)
+    rep = detect_singularity(derive(CouplingParams(2.0, 6.75)))
+    d = derive(CouplingParams(6.0, 18.75))
+    assert rep.is_singular and detect_singularity(d).n_star == 2
+    with pytest.raises(DomainError, match="does not belong"):
+        singularity_wavefunction(rep, d, +1, 0.0)
+    d, rep = _singular_setup()
+    with pytest.raises(DomainError, match="epsilon"):
+        singularity_wavefunction(rep, d, 0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # pseudo-norm quadrature
 # ---------------------------------------------------------------------------
@@ -242,6 +255,14 @@ def test_pseudo_norm_zero_function():
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float), dtype=complex)
     res = pseudo_norm(zero, (-5.0, 5.0))
     assert res.value == 0.0
+
+
+def test_pseudo_norm_stops_at_the_point_cap(monkeypatch):
+    # a zero tolerance is never met, so the doubling runs to 2**22 panels
+    monkeypatch.setattr(wavefunctions, "_QUADRATURE_TOL", 0.0)
+    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float), dtype=complex)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        pseudo_norm(zero, (-5.0, 5.0))
 
 
 def test_pseudo_norm_empty_domain():
