@@ -19,7 +19,12 @@ Gauss nodes each (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151), whose
 2x2 exponentials have a closed form, multiplied by tree reduction.  A float
 momentum is a batch of one: the momenta of a batch share one ladder of step
 counts, doubling from 1 per half box, and one vectorized call of V per rung
-serves both half boxes and every momentum on it.  Each momentum enters at a
+serves both half boxes and every momentum on it; when its samples are
+exactly PT-symmetric (the eigen-solve's test) only the right half box is
+integrated and, k^2 being real, the left propagator is its mirror image.
+Tiles of at most ``_BLOCK`` step matrices have a step count set by the rung
+alone, so a momentum's result does not depend on its batch.  Each momentum
+enters at a
 rung set by |V - k^2| at -L, 0 and L and leaves once the error estimate of its
 latest Richardson extrapolation meets the fixed tolerance ``_JOST_TOL``.  The
 |T| peak search samples a momentum window in one batched call, then bisects
@@ -115,6 +120,15 @@ def _cheb(n: int):
     return xi, d
 
 
+def _pt_symmetric(v: np.ndarray) -> bool:
+    """Whether samples of V at nodes with x[::-1] == -x satisfy
+    v[::-1] == conj(v) bit for bit, i.e. V(-x) = conj V(x) exactly on them.
+    Each mirror pair is compared once, so only the first half of v (and its
+    middle sample) is conjugated."""
+    h = (len(v) + 1) // 2
+    return np.array_equal(v[::-1][:h], v[:h].conj())
+
+
 def _mapped_eigvals(potential: Callable, half_width: float, n: int):
     """Eigenvalues of -d^2/dx^2 + V collocated at the n - 1 interior points of
     the degree-n Chebyshev grid mapped to the whole line, with V = 0 beyond
@@ -135,7 +149,7 @@ def _mapped_eigvals(potential: Callable, half_width: float, n: int):
     v[box] = np.asarray(potential(x[box]), dtype=complex)
     check_finite("potential", v, x)
     lap = -gd[1:-1] @ gd[:, 1:-1]
-    if np.array_equal(v[::-1], v.conj()):
+    if _pt_symmetric(v):
         return np.linalg.eigvals(lap + np.diag(v.real) - np.diag(v.imag)[:, ::-1]), True
     return np.linalg.eigvals(np.diag(v) + lap), False
 
@@ -275,31 +289,48 @@ def _product(m):
 
 def _propagators(potential: Callable, L: float, n: int, k2):
     """Magnus propagators across [-L, 0] and [0, L], n equal steps each, for
-    each of the squared momenta ``k2``, as entry arrays of shape (len(k2), 2),
-    from one vectorized sample of V at the 4n Gauss nodes.
+    each of the real squared momenta ``k2``, as entry arrays of shape
+    (len(k2), 2), from one vectorized sample of V at the 4n Gauss nodes, and
+    whether the one of [-L, 0] was mirrored.
 
-    The steps are multiplied in tiles of c momenta, both halves and b steps,
-    c * 2 * b <= ``_BLOCK`` matrices: b = min(n, ``_BLOCK`` / 2) depends on n
-    alone, so each momentum's product is formed in the same order whatever
-    the batch.
+    The nodes of [-L, 0] are the exact negatives of those of [0, L], so the
+    ascending node array satisfies x[::-1] == -x.  When the samples are
+    exactly PT-symmetric (``_pt_symmetric``) only the steps of [0, L] are
+    multiplied: for real k^2 the step of [-L, 0] at -x is the conjugate of
+    the step at x with its two nodes swapped, conj(S M^-1 S) with
+    S = diag(1, -1), and since the two-node Magnus step is time-symmetric
+    this holds for the discrete propagator too, so U = [[a, b], [c, d]] of
+    [0, L] gives conj([[d, b], [c, a]]) for [-L, 0].  Any other V has both
+    halves multiplied.
+
+    The steps are multiplied in tiles of c momenta, the halves integrated and
+    b steps, c * halves * b <= ``_BLOCK`` matrices: b = min(n, ``_BLOCK`` / 2)
+    depends on n alone, so each momentum's product is formed in the same
+    order whatever the batch.
     """
     h = L / n
-    offsets = np.array([[[-_GAUSS_OFFSET]], [[_GAUSS_OFFSET]]])    # node axis
-    x = ((np.arange(n) + 0.5 + offsets) * h + np.array([[-L], [0.0]])).ravel()
+    right = ((np.arange(n)[:, None] + 0.5 + np.array([-_GAUSS_OFFSET, _GAUSS_OFFSET]))
+             * h).ravel()
+    x = np.concatenate((-right[::-1], right))
     v = np.asarray(potential(x), dtype=complex)
     check_finite("potential", v, x)
-    v = v.reshape(2, 2, n)                      # node, half, step
+    mirrored = _pt_symmetric(v)
+    v = v.reshape(2, n, 2)[int(mirrored):]      # half, step, node
     b = min(n, _BLOCK // 2)
-    c = _BLOCK // (2 * b)
+    c = _BLOCK // (len(v) * b)
     chunks = []
     for i in range(0, len(k2), c):
         w = k2[i:i + c, None, None]
         m = None
         for j in range(0, n, b):
-            p = _product(_step_exponentials(v[0, :, j:j + b] - w, v[1, :, j:j + b] - w, h))
+            p = _product(_step_exponentials(v[:, j:j + b, 0] - w, v[:, j:j + b, 1] - w, h))
             m = p if m is None else _mul(p, m)
         chunks.append(m)
-    return [np.concatenate(x) for x in zip(*chunks)]
+    props = [np.concatenate(x) for x in zip(*chunks)]
+    if mirrored:                                # [-L, 0]: conj([[d, b], [c, a]])
+        props = [np.concatenate((props[j].conj(), x), axis=1)
+                 for j, x in zip((3, 1, 2, 0), props)]
+    return props, mirrored
 
 
 def _sweep(props, k, phase) -> np.ndarray:
@@ -330,7 +361,10 @@ def jost_solutions(potential: Callable, k, grid: GridSpec):
 
     Each half of [-L, L] is crossed by n equal fourth-order Magnus steps.  f-
     is carried forward from -L and f+ backward from +L through the same two
-    propagators, so one set of steps gives both.  A float is a batch of one;
+    propagators, so one set of steps gives both.  When the samples of V
+    satisfy V(-x) == conj V(x) bit for bit, only [0, L] is integrated and the
+    propagator of [-L, 0] is its mirror image (``_propagators``), which needs
+    the real k^2 that the k > 0 check ensures.  A float is a batch of one;
     the momenta of a batch share one ladder of step counts, n = 1, 2, 4, ...
     per half, and one sample of V at the 4n Gauss nodes of a rung serves both
     halves and every momentum still on the ladder.  A momentum enters at the
@@ -345,17 +379,19 @@ def jost_solutions(potential: Callable, k, grid: GridSpec):
     extrapolation, which is returned.  If some momentum does not get there
     within ``_MAX_STEPS`` steps, a ``ConvergenceError`` names it and its
     estimate.  The steps of a rung are multiplied in tiles of
-    ``_BLOCK`` = 4096 matrices or fewer, b = min(n, 2048) steps of both
-    halves for 2048 / b momenta at a time, so besides the 4n samples of V no
-    temporary holds more than ``_BLOCK`` entries; b depends on n alone, so a
-    momentum's arithmetic does not depend on the batch.  ``potential`` is
+    ``_BLOCK`` = 4096 matrices or fewer, b = min(n, 2048) steps of the one
+    or two halves integrated for 4096 / (halves b) momenta at a time, so
+    besides the 4n samples of V no temporary holds more than ``_BLOCK``
+    entries; b depends on n alone, so a momentum's arithmetic does not
+    depend on the batch.  ``potential`` is
     called with arrays only; a sample that is not finite raises
     ``DomainError`` naming its x.  Every propagator has determinant 1, so the
     Wronskian fp*dfm - dfp*fm is the same at the three points up to roundoff
     and the extrapolation error.  Each momentum logs one DEBUG record on the
-    ``scarf_spectra`` logger with k, the final step count over [-L, L], the
-    Richardson estimate (relative to max|f|) and the Wronskian drift across
-    the three points.
+    ``scarf_spectra`` logger with k, the final step count over [-L, L],
+    whether its rungs were "mirrored", integrated on "both halves" or
+    "mixed", the Richardson estimate (relative to max|f|) and the Wronskian
+    drift across the three points.
     """
     L = grid.half_width
     if np.ndim(k) > 1:
@@ -383,12 +419,15 @@ def jost_solutions(potential: Callable, k, grid: GridSpec):
     out = np.empty_like(coarse)
     steps = np.zeros(len(ks), dtype=int)
     estimate = np.empty(len(ks))
+    halves = np.zeros(len(ks), dtype=int)      # 1 if a rung mirrored, 2 if not
     n = 0
     while not steps.all():
         # the next rung, or the next entry if every momentum entered has left
         n = max(2 * n, int(entry[steps == 0].min()))
         on = np.flatnonzero((entry <= n) & (steps == 0))
-        fine = _sweep(_propagators(potential, L, n, k2[on]), ks[on], phase[on])
+        props, mirrored = _propagators(potential, L, n, k2[on])
+        halves[on] |= 1 if mirrored else 2
+        fine = _sweep(props, ks[on], phase[on])
         if not np.isfinite(fine).all():
             i = on[~np.isfinite(fine).all(axis=(1, 2))][0]
             raise ConvergenceError(f"Jost integration at k = {ks[i]:.6g} is not finite")
@@ -417,8 +456,10 @@ def jost_solutions(potential: Callable, k, grid: GridSpec):
         size = np.max(np.abs(fp) * np.abs(dfm) + np.abs(dfp) * np.abs(fm), axis=1)
         drift = np.max(np.abs(wr - wr[:, :1]), axis=1) / size
         for i in range(len(ks)):
-            _log.debug("jost_solutions: k = %.6g, %d steps, Richardson estimate %.3g, "
-                       "Wronskian drift %.3g", ks[i], steps[i], estimate[i], drift[i])
+            _log.debug("jost_solutions: k = %.6g, %d steps (%s), Richardson estimate "
+                       "%.3g, Wronskian drift %.3g", ks[i], steps[i],
+                       ("mirrored", "both halves", "mixed")[halves[i] - 1],
+                       estimate[i], drift[i])
     if np.ndim(k) == 0:
         return fp[0], dfp[0], fm[0], dfm[0]
     return fp, dfp, fm, dfm

@@ -402,9 +402,13 @@ def test_jost_solutions_exact_wall_data():
     assert (fp[2], dfp[2]) == (phase, 1j * k * phase)
     assert (fm[0], dfm[0]) == (phase, -1j * k * phase)
     sc = scattering(_pot(PARAMS_COMPLEX), k, g)
-    wr = fp[1] * dfm[1] - dfp[1] * fm[1]
-    scale = abs(fp[1]) * abs(dfm[1]) + abs(dfp[1]) * abs(fm[1])
-    assert sc.wronskian_ratio == abs(wr) / scale
+    # the reference takes scattering's array arithmetic on the same rows:
+    # numpy's scalar and array complex multiplies may differ in the last bit
+    rows = jost_solutions(_pot(PARAMS_COMPLEX), np.array([k]), g)
+    fp, dfp, fm, dfm = (f[:, 1] for f in rows)
+    wr = np.abs(fp * dfm - dfp * fm)
+    scale = np.abs(fp) * np.abs(dfm) + np.abs(dfp) * np.abs(fm)
+    assert sc.wronskian_ratio == wr[0] / scale[0]
 
 
 def _gamma_transmission(v1, v2, k):
@@ -525,17 +529,68 @@ def _dop853_jost(potential, k, half_width):
     return out
 
 
+def _partner(params, signs):
+    br = solve_branch(derive(params), *signs)
+    return lambda x: extended_potential(br, params, x)
+
+
 def test_jost_solutions_match_independent_integrator():
     grid = GridSpec(20.0, 201)
-    d = derive(PARAMS_REAL)
-    potentials = [_pot(PARAMS_REAL)] + [
-        (lambda x, br=solve_branch(d, *signs): extended_potential(br, PARAMS_REAL, x))
-        for signs in BRANCH_SIGNS]
+    # the first five sample exactly PT-symmetrically, so jost_solutions
+    # mirrors their [0, L] propagator; the last two are integrated on both
+    # halves
+    potentials = [_pot(PARAMS_REAL)] + [_partner(PARAMS_REAL, s) for s in BRANCH_SIGNS]
+    potentials += [_partner(CouplingParams(2.0, 6.75), (1, 1)), _gaussian_well]
     for i, pot in enumerate(potentials):
         got = jost_solutions(pot, 1.1, grid)
         ref = _dop853_jost(pot, 1.1, grid.half_width)
         for g, r in zip(got, ref):
             assert np.max(np.abs(g - r)) <= 1e-9 * np.max(np.abs(r)), i
+
+
+def _nudged(potential):
+    """V with Re V one ulp larger at x > 0, so that its samples are no longer
+    exactly PT-symmetric."""
+    def nudged(x):
+        v = np.array(potential(x), dtype=complex)
+        right = np.asarray(x) > 0.0
+        v.real[right] = np.nextafter(v.real[right], np.inf)
+        return v
+    return nudged
+
+
+def _halves_spy(monkeypatch):
+    """The number of halves of [-L, L] in each call of _step_exponentials."""
+    halves = []
+    step_exponentials = verify_module._step_exponentials
+
+    def spy(w1, w2, h):
+        halves.append(w1.shape[1])
+        return step_exponentials(w1, w2, h)
+    monkeypatch.setattr(verify_module, "_step_exponentials", spy)
+    return halves
+
+
+@pytest.mark.parametrize("potential", [
+    _pot(PARAMS_COMPLEX), _pot(CouplingParams(2.0, 6.75)), _partner(PARAMS_REAL, (-1, -1))],
+    ids=["(1, 5)", "(2, 6.75)", "(12, 6) partner (-, -)"])
+def test_mirrored_propagator_matches_both_halves(monkeypatch, potential):
+    grid = GridSpec(20.0, 201)
+    ks = np.linspace(0.5, 2.5, 9)
+    halves = _halves_spy(monkeypatch)
+    mirrored = jost_solutions(potential, ks, grid)
+    assert set(halves) == {1}
+    halves.clear()
+    both = jost_solutions(_nudged(potential), ks, grid)
+    assert set(halves) == {2}
+    for got, ref in zip(mirrored, both):
+        assert (np.abs(got - ref).max(axis=1) <= 1e-13 * np.abs(ref).max(axis=1)).all()
+
+
+def test_jost_solutions_integrates_both_halves_of_a_non_pt_potential(monkeypatch):
+    halves = _halves_spy(monkeypatch)
+    jost_solutions(_gaussian_well, np.array([1.0, 2.0]), GridSpec(20.0, 201))
+    assert set(halves) == {2}
 
 
 def test_jost_solutions_unreachable_tolerance_raises():
@@ -552,8 +607,9 @@ def test_jost_solutions_debug_record(caplog):
         jost_solutions(_pot(PARAMS_COMPLEX), 1.0, g)
     records = [r for r in caplog.records if r.name == "scarf_spectra"]
     assert len(records) == 1 and records[0].levelno == logging.DEBUG
-    k, steps, estimate, drift = records[0].args
+    k, steps, halves, estimate, drift = records[0].args
     assert k == 1.0 and steps > 0
+    assert halves == "mirrored"
     assert 0.0 <= estimate < 1e-10
     assert 0.0 <= drift < 1e-12
 
