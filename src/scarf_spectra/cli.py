@@ -272,9 +272,16 @@ def _cmd_verify(args: argparse.Namespace):
             record("wavefunction-residuals", _worst(values), 1e-6,
                    note=notes[0] if notes else "")
             numeric = discrete_spectrum(potential, grid, count=len(levels))
-            gap = _worst(min((abs(complex(lv.energy) - z) for z in numeric), default=np.inf)
-                         / (1.0 + abs(lv.energy)) for lv in levels)
-            record("analytic-vs-numeric-levels", gap, 1e-3, note=f"{len(levels)} levels")
+            gaps = [min((abs(complex(lv.energy) - z) for z in numeric), default=np.inf)
+                    / (1.0 + abs(lv.energy)) for lv in levels]
+            note = f"{len(levels)} levels"
+            unmatched = sum(not g < 1e-3 for g in gaps)
+            if unmatched:
+                # np.argmax, like _worst, picks a NaN first
+                lv = levels[int(np.argmax(gaps))]
+                note += (f", {unmatched} unmatched; worst n = {lv.n}, "
+                         f"epsilon = {lv.epsilon:+d}, gap {_worst(gaps):.3g}")
+            record("analytic-vs-numeric-levels", _worst(gaps), 1e-3, note=note)
         else:
             record("spectrum", note="no bound levels")
 

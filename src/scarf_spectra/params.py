@@ -100,18 +100,11 @@ def couplings_from_derived(d: DerivedParams) -> CouplingParams:
                           v2=d.nu * 2.0 * (d.p ** 2 - sigma2))
 
 
-def _as_complex(out):
-    # numpy float scalars subclass Python float, so mixed scalar arithmetic can
-    # fall back to builtin complex; normalize before the scalar/array split
-    out = np.asarray(out, dtype=complex)
-    return out if out.ndim else complex(out)
-
-
 def potential_value(params: CouplingParams, x):
     """Evaluate V(x) = -v1 sech^2 x + i v2 sech x tanh x (scalar or array)."""
     x = np.asarray(x, dtype=float)
     sech = 1.0 / np.cosh(x)
-    return _as_complex(-params.v1 * sech ** 2 + 1j * params.v2 * sech * np.tanh(x))
+    return -params.v1 * sech ** 2 + 1j * params.v2 * sech * np.tanh(x)
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, PoleError, RegimeError, SingularBranchError
-from .params import (CouplingParams, DerivedParams, Regime, _as_complex,
-                     couplings_from_derived, potential_value, wavefunction_params)
+from .params import (CouplingParams, DerivedParams, Regime, couplings_from_derived,
+                     potential_value, wavefunction_params)
 from .spectrum import LevelRecord, detect_singularity, spectrum
 from .wavefunctions import (JacobiSpec, bound_state, bound_state_derivative,
                             envelope, jacobi_derivative, jacobi_eval,
@@ -111,8 +111,7 @@ def superpotential(branch: PartnerBranch, x):
     sh, ch = np.sinh(x), np.cosh(x)
     den = 1j * sh + branch.c
     _check_poles(den, branch.c, "superpotential")
-    out = branch.a * np.tanh(x) + 1j * branch.b / ch - 1j * ch / den
-    return _as_complex(out)
+    return branch.a * np.tanh(x) + 1j * branch.b / ch - 1j * ch / den
 
 
 def superpotential_derivative(branch: PartnerBranch, x):
@@ -122,9 +121,8 @@ def superpotential_derivative(branch: PartnerBranch, x):
     sech = 1.0 / ch
     den = 1j * sh + branch.c
     _check_poles(den, branch.c, "superpotential")
-    out = (branch.a * sech ** 2 - 1j * branch.b * sech * np.tanh(x)
-           - 1j * (branch.c * sh - 1j) / den ** 2)
-    return _as_complex(out)
+    return (branch.a * sech ** 2 - 1j * branch.b * sech * np.tanh(x)
+            - 1j * (branch.c * sh - 1j) / den ** 2)
 
 
 def extended_potential(branch: PartnerBranch, params: CouplingParams, x):
@@ -134,11 +132,10 @@ def extended_potential(branch: PartnerBranch, params: CouplingParams, x):
     a, b = branch.a, branch.b
     den = 2.0 * b - 1j * (2.0 * a - 1.0) * np.sinh(x)
     _check_poles(den, b, "extended potential")
-    out = (-(params.v1 - 2.0 * a) * sech ** 2
-           + 1j * (params.v2 - 2.0 * b) * sech * np.tanh(x)
-           - 4.0 * b / den
-           + 2.0 * (4.0 * b ** 2 - (2.0 * a - 1.0) ** 2) / den ** 2)
-    return _as_complex(out)
+    return (-(params.v1 - 2.0 * a) * sech ** 2
+            + 1j * (params.v2 - 2.0 * b) * sech * np.tanh(x)
+            - 4.0 * b / den
+            + 2.0 * (4.0 * b ** 2 - (2.0 * a - 1.0) ** 2) / den ** 2)
 
 
 def factorizing_function(branch: PartnerBranch, x):
@@ -251,7 +248,7 @@ def exceptional_jacobi(degree: int, s: complex, p: complex, y):
     pn, dpn = jacobi_eval(spec, y), jacobi_derivative(spec, y)
     b = _bracket(p, s, y)
     g = -2.0 * s * b * pn + (1.0 - y) * (b * dpn + (p + s - 1.0) * pn)
-    return _as_complex(g * (2.0 / (2.0 * s - 1.0)))
+    return g * (2.0 / (2.0 * s - 1.0))
 
 
 def partner_polynomial(n: int, epsilon: int, p: complex, sig: complex, y):
@@ -279,7 +276,7 @@ def partner_polynomial(n: int, epsilon: int, p: complex, sig: complex, y):
     q = ((p + sig - 1.0) * jacobi_eval(spec, y)
          + _bracket(p, sig, y) * jacobi_derivative(spec, y))
     scale = 1.0 / (p + sig - 1.0) if n == 0 else -4.0 / (p + sig - n)
-    return _as_complex(q * scale)
+    return q * scale
 
 
 # ============================================================================
@@ -328,9 +325,8 @@ def partner_wavefunction_closed(branch: PartnerBranch, d: DerivedParams,
         eta = -1j * (p + sig - 1.0)
     x = np.asarray(x, dtype=float)
     y = 1j * np.sinh(x)
-    out = (envelope(xi, eta, x) * partner_polynomial(n, epsilon, p, sig, y)
-           / _bracket(p, sig, y))
-    return _as_complex(out)
+    return (envelope(xi, eta, x) * partner_polynomial(n, epsilon, p, sig, y)
+            / _bracket(p, sig, y))
 
 
 # ============================================================================

@@ -25,8 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, check_finite
-from .params import (DerivedParams, WavefunctionParams, _as_complex,
-                     wavefunction_params)
+from .params import DerivedParams, WavefunctionParams, wavefunction_params
 from .spectrum import detect_singularity
 
 # modulus below which a recurrence denominator factor counts as degenerate; a
@@ -75,7 +74,7 @@ def jacobi_explicit(spec: JacobiSpec, y):
         coeff = (_binomial_rising(n + spec.alpha, n - k)
                  * _binomial_rising(n + spec.beta, k))
         total = total + coeff * half_minus ** k * half_plus ** (n - k)
-    return _as_complex(total)
+    return total
 
 
 def jacobi_eval(spec: JacobiSpec, y):
@@ -88,12 +87,9 @@ def jacobi_eval(spec: JacobiSpec, y):
     y = np.asarray(y, dtype=complex)
     n, al, be = spec.n, spec.alpha, spec.beta
     if n == 0:
-        out = np.ones_like(y)
-        return _as_complex(out)
+        return np.ones_like(y)[()]
     pm1 = np.ones_like(y)                                   # P_0
     p = ((al - be) + (al + be + 2.0) * y) / 2.0             # P_1
-    if n == 1:
-        return _as_complex(p)
     ab = al + be
     for k in range(2, n + 1):
         if min(abs(k + ab), abs(2 * k + ab - 2.0)) < _RECURRENCE_TOL:
@@ -103,15 +99,13 @@ def jacobi_eval(spec: JacobiSpec, y):
         c2 = 2.0 * (k + al - 1.0) * (k + be - 1.0) * (2 * k + ab)
         cur = (c1 * p - c2 * pm1) / denom
         pm1, p = p, cur
-    return _as_complex(p)
+    return p
 
 
 def jacobi_derivative(spec: JacobiSpec, y):
     """d/dy P_n^{(alpha,beta)}(y) = (n+alpha+beta+1)/2 * P_{n-1}^{(alpha+1,beta+1)}(y)."""
     if spec.n == 0:
-        y = np.asarray(y, dtype=complex)
-        out = np.zeros_like(y)
-        return _as_complex(out)
+        return np.zeros_like(np.asarray(y, dtype=complex))[()]
     shifted = JacobiSpec(spec.n - 1, spec.alpha + 1.0, spec.beta + 1.0)
     return (spec.n + spec.alpha + spec.beta + 1.0) / 2.0 * jacobi_eval(shifted, y)
 
@@ -140,9 +134,7 @@ def wavefunction_value(wf: WavefunctionParams, n: int, x):
     """Evaluate the ansatz state with parameters ``wf`` and polynomial degree n."""
     x = np.asarray(x, dtype=float)
     pre = envelope(wf.lam, wf.mu, x)
-    poly = jacobi_eval(JacobiSpec(n, wf.alpha, wf.beta), 1j * np.sinh(x))
-    out = pre * poly
-    return _as_complex(out)
+    return pre * jacobi_eval(JacobiSpec(n, wf.alpha, wf.beta), 1j * np.sinh(x))
 
 
 def wavefunction_derivative(wf: WavefunctionParams, n: int, x):
@@ -153,8 +145,7 @@ def wavefunction_derivative(wf: WavefunctionParams, n: int, x):
     sech = 1.0 / np.cosh(x)
     poly = jacobi_eval(JacobiSpec(n, wf.alpha, wf.beta), y)
     dpoly = jacobi_derivative(JacobiSpec(n, wf.alpha, wf.beta), y)
-    out = pre * ((-wf.lam * np.tanh(x) + wf.mu * sech) * poly + 1j * np.cosh(x) * dpoly)
-    return _as_complex(out)
+    return pre * ((-wf.lam * np.tanh(x) + wf.mu * sech) * poly + 1j * np.cosh(x) * dpoly)
 
 
 def bound_state(level, x):

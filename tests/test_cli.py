@@ -453,6 +453,17 @@ def test_verify_names_the_level_whose_state_is_not_finite(capsys):
     assert row["note"] == "n = 36, epsilon = +1: psi is not finite at x = -20"
 
 
+def test_verify_names_the_worst_unmatched_level(capsys):
+    # the n = 2 pair of (8, -20) at E = 2.913 -/+ 0.540i is not resolved by
+    # the eigen-solver; both members miss by the same gap, the first is named
+    code, out, _ = _run(capsys, ["verify", "--v1", "8", "--v2", "-20"])
+    assert code == 4
+    row = {c["name"]: c for c in json.loads(out)["results"]["checks"]}[
+        "analytic-vs-numeric-levels"]
+    assert row["passed"] is False
+    assert row["note"] == "6 levels, 2 unmatched; worst n = 2, epsilon = -1, gap 0.927"
+
+
 def test_verify_nan_residual_fails_its_check(capsys, monkeypatch):
     # a NaN residual that is not the first one still fails its row
     levels = spectrum(derive(CouplingParams(12.0, 6.0)))

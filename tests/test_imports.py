@@ -27,6 +27,44 @@ def test_modules_use_every_name_they_import():
     assert {name: found for name, found in unused.items() if found} == {}
 
 
+def _private_definitions(tree: ast.Module) -> list:
+    # module-level functions, classes and assignments whose names start with _
+    # (dunders such as __all__ are not private)
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return [(line, name) for line, name in names
+            if name.startswith("_") and not name.endswith("__")]
+
+
+def _references(tree: ast.Module) -> set:
+    # a name read, an attribute of that name, or a name imported from elsewhere
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_private_helper_is_used():
+    modules = sorted(PACKAGE.glob("*.py"))
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in modules}
+    assert _private_definitions(ast.parse("_A = 1\ndef _f(): pass\nB = __c__ = 2")) == [
+        (1, "_A"), (2, "_f")]
+    used = set().union(*map(_references, trees.values()))
+    dead = {name: [d for d in _private_definitions(tree) if d[1] not in used]
+            for name, tree in trees.items()}
+    assert {name: found for name, found in dead.items() if found} == {}
+
+
 def test_public_names_are_the_imported_names():
     # __all__ lists each name __init__.py imports, once, and nothing else
     tree = ast.parse((PACKAGE / "__init__.py").read_text())

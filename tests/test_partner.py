@@ -1,23 +1,25 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from scarf_spectra import (BRANCH_SIGNS, CouplingParams, DomainError,
-                           GridSpec, LevelRecord, PartnerBranch, PartnerKind,
+                           GridSpec, JacobiSpec, LevelRecord, PartnerBranch, PartnerKind,
                            PoleError, REFERENCE_GRID, RegimeError, SingularBranchError,
                            added_level_wavefunction, bound_state,
                            bound_state_derivative, derive, detect_singularity,
                            exceptional_jacobi, extended_potential,
                            factorization_residuals, factorizing_function,
+                           jacobi_derivative, jacobi_eval, jacobi_explicit,
                            matching_residuals, partner_polynomial,
                            partner_singularity, partner_spectrum,
                            partner_wavefunction, partner_wavefunction_closed,
-                           potential_value, residual, solve_branch,
-                           spectrum, superpotential, superpotential_derivative,
-                           wavefunction_derivative, wavefunction_params,
-                           wavefunction_value)
+                           potential_value, residual, singularity_wavefunction,
+                           solve_branch, spectrum, superpotential,
+                           superpotential_derivative, wavefunction_derivative,
+                           wavefunction_params, wavefunction_value)
 
 REAL_D = derive(CouplingParams(12.0, 6.0))
 COMPLEX_D = derive(CouplingParams(1.0, 5.0))
@@ -352,6 +354,15 @@ def test_partner_spectrum_rejects_mismatched_parameters():
     br = solve_branch(REAL_D, 1, 1)
     with pytest.raises(DomainError):
         partner_spectrum(br, derive(CouplingParams(6.0, 2.0)))
+
+
+def test_partner_spectrum_rejects_a_mismatched_factorization_energy():
+    # a belongs to (12, 6), so the record passes the branch check; only its
+    # energy disagrees with the level it would delete
+    br = solve_branch(REAL_D, 1, 1)
+    br = dataclasses.replace(br, factorization_energy=br.factorization_energy + 1e-3)
+    with pytest.raises(DomainError, match="deleted-level energy mismatch"):
+        partner_spectrum(br, REAL_D)
 
 
 # ---------------------------------------------------------------------------
@@ -770,3 +781,52 @@ def test_partner_singularity_annihilates_other_parity():
     scale = (np.abs(wavefunction_derivative(wf, n, xs))
              + np.abs(superpotential(br, xs)) * np.abs(wavefunction_value(wf, n, xs)))
     assert np.max(np.abs(mapped) / scale) < 1e-10
+
+
+def _closed_forms():
+    # every public closed form as a function of x alone; the Jacobi and
+    # partner polynomials take y = i sinh x
+    params = CouplingParams(12.0, 6.0)
+    levels = spectrum(REAL_D)
+    plus, minus = solve_branch(REAL_D, 1, 1), solve_branch(REAL_D, -1, 1)
+    p, s = REAL_D.p, REAL_D.s
+    sing_d = derive(CouplingParams(2.0, 6.75))
+    rep = detect_singularity(sing_d)
+    spec = lambda n: JacobiSpec(n, 0.7 + 0.2j, -1.1)
+    y = lambda x: 1j * np.sinh(x)
+    return {
+        "potential_value": lambda x: potential_value(params, x),
+        "bound_state": lambda x: bound_state(levels[2], x),
+        "bound_state_derivative": lambda x: bound_state_derivative(levels[2], x),
+        "jacobi_eval n=0": lambda x: jacobi_eval(spec(0), y(x)),
+        "jacobi_eval n=1": lambda x: jacobi_eval(spec(1), y(x)),
+        "jacobi_eval n=4": lambda x: jacobi_eval(spec(4), y(x)),
+        "jacobi_derivative n=0": lambda x: jacobi_derivative(spec(0), y(x)),
+        "jacobi_explicit": lambda x: jacobi_explicit(spec(3), y(x)),
+        "superpotential": lambda x: superpotential(plus, x),
+        "superpotential_derivative": lambda x: superpotential_derivative(plus, x),
+        "extended_potential": lambda x: extended_potential(plus, params, x),
+        "factorizing_function": lambda x: factorizing_function(plus, x),
+        "added_level_wavefunction": lambda x: added_level_wavefunction(minus, x),
+        "partner_wavefunction": lambda x: partner_wavefunction(plus, levels[0], x),
+        "partner_wavefunction_closed":
+            lambda x: partner_wavefunction_closed(plus, REAL_D, 2, 1, x),
+        "partner_polynomial": lambda x: partner_polynomial(2, 1, p, s, y(x)),
+        "exceptional_jacobi": lambda x: exceptional_jacobi(3, s, p, y(x)),
+        "singularity_wavefunction": lambda x: singularity_wavefunction(rep, sing_d, 1, x),
+    }
+
+
+@pytest.mark.parametrize("name", list(_closed_forms()))
+def test_closed_forms_return_complex_scalars_and_arrays(name):
+    # an array x gives a complex array of its shape; a scalar x gives a
+    # complex scalar (builtin or numpy) equal to the array's element there, up
+    # to the last bits in which numpy's scalar and array arithmetic differ
+    f = _closed_forms()[name]
+    xs = np.array([[-1.3, 0.0], [0.4, 2.2]])
+    arr = f(xs)
+    assert isinstance(arr, np.ndarray) and arr.dtype == complex and arr.shape == xs.shape
+    for x, expect in zip(xs.ravel().tolist(), arr.ravel()):
+        val = f(x)
+        assert isinstance(val, complex) and np.ndim(val) == 0
+        assert val == pytest.approx(expect, rel=1e-14, abs=0.0)
