@@ -16,17 +16,21 @@ come from the Jost solutions at x = -L, 0 and L, the solutions of
 psi'' = (V - k^2) psi with plane-wave data on one wall of [-L, L].  A
 transfer-matrix kernel propagates them: fourth-order Magnus steps with two
 Gauss nodes each (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151), whose
-2x2 exponentials have a closed form, multiplied by tree reduction.  A float
-momentum is a batch of one: the momenta of a batch share one ladder of step
-counts, doubling from 1 per half box, and one vectorized call of V per rung
-serves both half boxes and every momentum on it; when its samples are
-exactly PT-symmetric (the eigen-solve's test) only the right half box is
-integrated and, k^2 being real, the left propagator is its mirror image.
-Tiles of at most ``_BLOCK`` step matrices have a step count set by the rung
-alone, so a momentum's result does not depend on its batch.  Each momentum
-enters at a
-rung set by |V - k^2| at -L, 0 and L and leaves once the error estimate of its
-latest Richardson extrapolation meets the fixed tolerance ``_JOST_TOL``.  The
+2x2 exponentials have a closed form, multiplied by tree reduction.  The n
+steps of [0, L] are graded, x = L sinh(alpha t) / sinh(alpha) at t = j / n,
+short round x = 0 and long in the e^{-|x|} tail, and those of [-L, 0] are
+their mirror image; alpha comes once per call from the largest |V| on a
+probe of V (``_mesh_alpha``).  A float momentum is a batch of one: the
+momenta of a batch share one ladder of step counts, doubling from the first
+power of two n >= 4L, whatever k (the Magnus error does not grow with k;
+Iserles, BIT 42 (2002) 561), and one vectorized call of V per rung serves
+both half boxes and every momentum on it; when its samples are exactly
+PT-symmetric (the eigen-solve's test) only the right half box is integrated
+and, k^2 being real, the left propagator is its mirror image.  Tiles of at
+most ``_BLOCK`` step matrices have a step count set by the rung alone, so a
+momentum's result does not depend on its batch.  Each momentum leaves the
+ladder once the error estimate of its latest Richardson extrapolation meets
+the fixed tolerance ``_JOST_TOL``.  The
 |T| peak search samples a momentum window in one batched call, then bisects
 round the largest |T|, both midpoints in one batched call per step.
 ``residual`` applies the eighth-order central finite-difference Laplacian on a
@@ -82,6 +86,17 @@ _BLOCK = 4096
 _MAX_STEPS = 1 << 17
 # relative and absolute tolerance of jost_solutions
 _JOST_TOL = 1e-11
+# graded mesh of jost_solutions: V probed at _PROBE_POINTS equally spaced
+# points of [-L, L], alpha the root of
+# sinh(alpha) / alpha = _ALPHA_SCALE sqrt(max(1, max|V|)).  _ALPHA_SCALE was
+# set on the 161 momenta of the transmission-scan benchmark at L = 20 (10
+# operations): at 1.5 to 3 they took 156k to 158k step matrices in all, at 4
+# to 7 189k to 193k, at 10 211k, at 1 274k (uniform steps: 655k); at 2.5 the
+# near-pole partners of (12, 0.1) and (100, 1) stop at 512 to 2048 steps per
+# half, and (12, 6) and (400, 100) at k = 0.5 to 30 take as many steps as at
+# 5 or fewer.  alpha sets only the cost: the stop rule sets the accuracy.
+_PROBE_POINTS = 801
+_ALPHA_SCALE = 2.5
 
 # discrete_spectrum: scale c of the map x = c xi / sqrt(1 - xi^2), first and
 # largest Chebyshev degree N (each step takes N to 3N//2, and the largest is a
@@ -243,10 +258,11 @@ class ScatteringResult:
     wronskian_ratio: float
 
 
-def _step_exponentials(w1, w2, h: float):
+def _step_exponentials(w1, w2, h):
     """exp(Omega) of fourth-order Magnus steps of (psi, psi')' = [[0, 1], [w, 0]].
 
-    ``w1``, ``w2`` are V - k^2 at the two Gauss nodes of each step.  With
+    ``w1``, ``w2`` are V - k^2 at the two Gauss nodes of each step and ``h``
+    the step lengths, an array that broadcasts against them.  With
     [A2, A1] = diag(w1 - w2, w2 - w1) the step's
     Omega = h (A1 + A2) / 2 + sqrt(3) h^2 [A2, A1] / 12 = [[c, h], [h wbar, -c]]
     is traceless, Omega^2 = s^2 I, and exp(Omega) = cosh(s) I + sinh(s)/s Omega
@@ -270,6 +286,23 @@ def _step_exponentials(w1, w2, h: float):
     return ch + shc * c, shc * h, shc * hw, ch - shc * c
 
 
+def _mesh_alpha(v_max: float) -> float:
+    """The alpha of the mesh x = L sinh(alpha t) / sinh(alpha) of
+    ``_propagators`` for a potential with |V| at most ``v_max``: the root of
+    sinh(alpha) / alpha = r, r = ``_ALPHA_SCALE`` sqrt(max(1, v_max)) >= 2.5.
+    The step at x = 0 is the uniform step L / n over r, so it follows the
+    local wavelength 1 / sqrt(max|V|) of the largest |V|, which the Scarf II
+    potentials and their partners reach round x = 0, while the steps at the
+    walls grow to about alpha L / n.  The root is taken by the fixed-point
+    iteration alpha = asinh(r alpha), which contracts by about 1/alpha < 0.4
+    per pass from alpha = 1 and is settled in 40."""
+    r = _ALPHA_SCALE * math.sqrt(max(1.0, v_max))
+    alpha = 1.0
+    for _ in range(40):
+        alpha = math.asinh(r * alpha)
+    return alpha
+
+
 def _mul(m1, m0):
     """m1 @ m0 for 2x2 matrices (a, b, c, d) = [[a, b], [c, d]], elementwise
     when the entries are arrays."""
@@ -287,14 +320,19 @@ def _product(m):
     return tuple(x[..., 0] for x in m)
 
 
-def _propagators(potential: Callable, L: float, n: int, k2):
-    """Magnus propagators across [-L, 0] and [0, L], n equal steps each, for
+def _propagators(potential: Callable, L: float, n: int, alpha: float, k2):
+    """Magnus propagators across [-L, 0] and [0, L], n graded steps each, for
     each of the real squared momenta ``k2``, as entry arrays of shape
     (len(k2), 2), from one vectorized sample of V at the 4n Gauss nodes, and
     whether the one of [-L, 0] was mirrored.
 
-    The nodes of [-L, 0] are the exact negatives of those of [0, L], so the
-    ascending node array satisfies x[::-1] == -x.  When the samples are
+    The step edges of [0, L] are x = L sinh(alpha t) / sinh(alpha) at
+    t = 0, 1/n, ..., 1 (``alpha`` > 0), short round x = 0 and about
+    cosh(alpha) times longer at the walls, and each step has its two Gauss
+    nodes at its own midpoint -+ ``_GAUSS_OFFSET`` times its own length.  The
+    nodes of [-L, 0] are the exact negatives of those of [0, L], so the
+    ascending node array satisfies x[::-1] == -x, and the steps of [-L, 0]
+    are those of [0, L] in reverse order.  When the samples are
     exactly PT-symmetric (``_pt_symmetric``) only the steps of [0, L] are
     multiplied: for real k^2 the step of [-L, 0] at -x is the conjugate of
     the step at x with its two nodes swapped, conj(S M^-1 S) with
@@ -308,14 +346,16 @@ def _propagators(potential: Callable, L: float, n: int, k2):
     depends on n alone, so each momentum's product is formed in the same
     order whatever the batch.
     """
-    h = L / n
-    right = ((np.arange(n)[:, None] + 0.5 + np.array([-_GAUSS_OFFSET, _GAUSS_OFFSET]))
-             * h).ravel()
+    edges = L * (np.sinh(alpha * (np.arange(n + 1) / n)) / np.sinh(alpha))
+    h = np.diff(edges)
+    right = ((edges[:-1] + 0.5 * h)[:, None]
+             + h[:, None] * np.array([-_GAUSS_OFFSET, _GAUSS_OFFSET])).ravel()
     x = np.concatenate((-right[::-1], right))
     v = np.asarray(potential(x), dtype=complex)
     check_finite("potential", v, x)
     mirrored = _pt_symmetric(v)
     v = v.reshape(2, n, 2)[int(mirrored):]      # half, step, node
+    h = np.stack((h[::-1], h))[int(mirrored):]  # half, step
     b = min(n, _BLOCK // 2)
     c = _BLOCK // (len(v) * b)
     chunks = []
@@ -323,7 +363,8 @@ def _propagators(potential: Callable, L: float, n: int, k2):
         w = k2[i:i + c, None, None]
         m = None
         for j in range(0, n, b):
-            p = _product(_step_exponentials(v[:, j:j + b, 0] - w, v[:, j:j + b, 1] - w, h))
+            p = _product(_step_exponentials(v[:, j:j + b, 0] - w, v[:, j:j + b, 1] - w,
+                                            h[:, j:j + b]))
             m = p if m is None else _mul(p, m)
         chunks.append(m)
     props = [np.concatenate(x) for x in zip(*chunks)]
@@ -359,39 +400,54 @@ def jost_solutions(potential: Callable, k, grid: GridSpec):
     alone.  f+ = e^{ikx} at x = +L and f- = e^{-ikx} at x = -L; each carries
     its plane-wave data exactly on its own wall.
 
-    Each half of [-L, L] is crossed by n equal fourth-order Magnus steps.  f-
-    is carried forward from -L and f+ backward from +L through the same two
-    propagators, so one set of steps gives both.  When the samples of V
-    satisfy V(-x) == conj V(x) bit for bit, only [0, L] is integrated and the
-    propagator of [-L, 0] is its mirror image (``_propagators``), which needs
-    the real k^2 that the k > 0 check ensures.  A float is a batch of one;
-    the momenta of a batch share one ladder of step counts, n = 1, 2, 4, ...
-    per half, and one sample of V at the 4n Gauss nodes of a rung serves both
-    halves and every momentum still on the ladder.  A momentum enters at the
-    first rung whose step L / n is at most 1 / (4 sqrt(max(1, |V - k^2|))),
-    with |V - k^2| at its largest over x = -L, 0, L (one more sample of V,
-    shared by the batch; 1/4 if that is not finite).  It leaves at the first
-    rung where its sixth-order Richardson extrapolations (16 f_n - f_{n/2}) / 15
-    of this rung and the last differ by at most 63 (tol + tol max|f|), with
-    the fixed tol = ``_JOST_TOL`` = 1e-11, at all three points, for each of
-    f+, f+', f-, f-' with its own max|f|: the error falls 64-fold per
-    doubling, so that difference over 63 estimates the error of the later
-    extrapolation, which is returned.  If some momentum does not get there
-    within ``_MAX_STEPS`` steps, a ``ConvergenceError`` names it and its
-    estimate.  The steps of a rung are multiplied in tiles of
-    ``_BLOCK`` = 4096 matrices or fewer, b = min(n, 2048) steps of the one
-    or two halves integrated for 4096 / (halves b) momenta at a time, so
-    besides the 4n samples of V no temporary holds more than ``_BLOCK``
-    entries; b depends on n alone, so a momentum's arithmetic does not
-    depend on the batch.  ``potential`` is
-    called with arrays only; a sample that is not finite raises
-    ``DomainError`` naming its x.  Every propagator has determinant 1, so the
-    Wronskian fp*dfm - dfp*fm is the same at the three points up to roundoff
-    and the extrapolation error.  Each momentum logs one DEBUG record on the
-    ``scarf_spectra`` logger with k, the final step count over [-L, L],
-    whether its rungs were "mirrored", integrated on "both halves" or
-    "mixed", the Richardson estimate (relative to max|f|) and the Wronskian
-    drift across the three points.
+    Each half of [-L, L] is crossed by n graded fourth-order Magnus steps,
+    with edges x = L sinh(alpha t) / sinh(alpha), t = 0, 1/n, ..., 1, on
+    [0, L] and their negatives on [-L, 0] (``_propagators``).  alpha is set
+    once per call from max|V| over ``_PROBE_POINTS`` = 801 equally spaced
+    samples of [-L, L] (one more call of V, shared by the batch): the root
+    of sinh(alpha) / alpha = 2.5 sqrt(max(1, max|V|)) (``_mesh_alpha``),
+    3.3 to 4.2 for the Scarf II pairs that the transmission-scan benchmark
+    integrates, 4.3 to 5.6 for their partners and 9.4 to 10 for partners
+    whose pole nears the real axis.  So the steps are short round x = 0,
+    where those potentials are large, and long in their e^{-|x|} tail;
+    alpha sets the cost only, the stop rule below the accuracy.  On a smooth
+    mesh map the time-symmetric two-node step keeps an error expansion in
+    even powers of 1 / n (Hairer, Lubich & Wanner, Geometric Numerical
+    Integration, Springer 2006, ch. II.4), so Richardson extrapolation
+    applies as on equal steps.  f- is carried forward from -L and f+
+    backward from +L through the same two propagators, so one set of steps
+    gives both.  When the samples of V satisfy V(-x) == conj V(x) bit for
+    bit, only [0, L] is integrated and the propagator of [-L, 0] is its
+    mirror image (``_propagators``), which needs the real k^2 that the k > 0
+    check ensures.  A float is a batch of one; the momenta of a batch share
+    one ladder of step counts and one sample of V at the 4n Gauss nodes of a
+    rung serves both halves and every momentum still on the ladder.  Every
+    momentum enters at the same rung, the first power of two n >= 4L per
+    half (128 at L = 20), whatever k: the error of a Magnus step does not
+    grow with k (A. Iserles, BIT 42 (2002) 561).  A momentum leaves at the
+    first rung where its sixth-order Richardson extrapolations
+    (16 f_n - f_{n/2}) / 15 of this rung and the last differ by at most
+    63 (tol + tol max|f|), with the fixed tol = ``_JOST_TOL`` = 1e-11, at all
+    three points, for each of f+, f+', f-, f-' with its own max|f|: the
+    error falls 64-fold per doubling, so that difference over 63 estimates
+    the error of the later extrapolation, which is returned; so no momentum
+    leaves before the third rung, 512 steps per half at L = 20.  If some
+    momentum does not get there within ``_MAX_STEPS`` steps, a
+    ``ConvergenceError`` names it and its estimate.  The steps of a rung are
+    multiplied in tiles of ``_BLOCK`` = 4096 matrices or fewer,
+    b = min(n, 2048) steps of the one or two halves integrated for
+    4096 / (halves b) momenta at a time, so besides the 4n samples of V no
+    temporary holds more than ``_BLOCK`` entries; b depends on n alone, and
+    alpha and the entry rung on V and L alone, so a momentum's arithmetic
+    does not depend on the batch.  ``potential`` is called with arrays only;
+    a sample that is not finite raises ``DomainError`` naming its x.  Every
+    propagator has determinant 1, so the Wronskian fp*dfm - dfp*fm is the
+    same at the three points up to roundoff and the extrapolation error.
+    Each momentum logs one DEBUG record on the ``scarf_spectra`` logger with
+    k, the final step count over [-L, L], whether its rungs were "mirrored",
+    integrated on "both halves" or "mixed", the Richardson estimate
+    (relative to max|f|), the Wronskian drift across the three points, the
+    mesh alpha and the entry rung's step count over [-L, L].
     """
     L = grid.half_width
     if np.ndim(k) > 1:
@@ -406,26 +462,23 @@ def jost_solutions(potential: Callable, k, grid: GridSpec):
 
     k2 = ks * ks
     phase = np.exp(1j * ks * L)
-    walls = np.asarray(potential(np.array([-L, 0.0, L])), dtype=complex)
-    entry = []                                  # steps per half at entry
-    for scale in np.max(np.abs(walls - k2[:, None]), axis=1).tolist():
-        h0 = 0.25 / math.sqrt(max(scale, 1.0)) if math.isfinite(scale) else 0.25
-        entry.append(1 << (math.ceil(L / h0) - 1).bit_length())   # 2^j >= L / h0
-    entry = np.array(entry, dtype=int)
-    # f at a momentum's last rung and its extrapolation: NaN before its first
-    # rung, so that its first two rungs can meet no tolerance
+    probe = np.linspace(-L, L, _PROBE_POINTS)
+    v = np.asarray(potential(probe), dtype=complex)
+    check_finite("potential", v, probe)
+    alpha = _mesh_alpha(float(np.abs(v).max()))
+    entry = 1 << (math.ceil(4.0 * L) - 1).bit_length()     # 2^j >= 4 L steps per half
+    # f at a momentum's last rung and its extrapolation: NaN before the entry
+    # rung, so that the first two rungs can meet no tolerance
     coarse = np.full((len(ks), 4, 3), np.nan, dtype=complex)
     extrapolated = coarse.copy()
     out = np.empty_like(coarse)
     steps = np.zeros(len(ks), dtype=int)
     estimate = np.empty(len(ks))
     halves = np.zeros(len(ks), dtype=int)      # 1 if a rung mirrored, 2 if not
-    n = 0
+    n = entry
     while not steps.all():
-        # the next rung, or the next entry if every momentum entered has left
-        n = max(2 * n, int(entry[steps == 0].min()))
-        on = np.flatnonzero((entry <= n) & (steps == 0))
-        props, mirrored = _propagators(potential, L, n, k2[on])
+        on = np.flatnonzero(steps == 0)
+        props, mirrored = _propagators(potential, L, n, alpha, k2[on])
         halves[on] |= 1 if mirrored else 2
         fine = _sweep(props, ks[on], phase[on])
         if not np.isfinite(fine).all():
@@ -434,7 +487,7 @@ def jost_solutions(potential: Callable, k, grid: GridSpec):
         ext = (16.0 * fine - coarse[on]) / 15.0
         size = np.abs(ext).max(axis=2, keepdims=True)
         diff = np.abs(ext - extrapolated[on]) / 63.0
-        # fmin turns the NaN of a momentum's first two rungs into inf
+        # fmin turns the NaN of the first two rungs into inf
         estimate[on] = np.fmin((diff / np.maximum(size, 1e-300)).max(axis=(1, 2)), math.inf)
         met = (diff <= _JOST_TOL + _JOST_TOL * size).all(axis=(1, 2))
         out[on[met]] = ext[met]
@@ -446,6 +499,7 @@ def jost_solutions(potential: Callable, k, grid: GridSpec):
                 f"{_JOST_TOL:g} within {2 * n} steps: "
                 f"Richardson estimate {estimate[i]:.3g} relative")
         coarse[on], extrapolated[on] = fine, ext
+        n *= 2
     out[:, 0, 2] = phase
     out[:, 1, 2] = 1j * ks * phase
     out[:, 2, 0] = phase
@@ -457,9 +511,10 @@ def jost_solutions(potential: Callable, k, grid: GridSpec):
         drift = np.max(np.abs(wr - wr[:, :1]), axis=1) / size
         for i in range(len(ks)):
             _log.debug("jost_solutions: k = %.6g, %d steps (%s), Richardson estimate "
-                       "%.3g, Wronskian drift %.3g", ks[i], steps[i],
+                       "%.3g, Wronskian drift %.3g, mesh alpha %.6g, entry at %d "
+                       "steps", ks[i], steps[i],
                        ("mirrored", "both halves", "mixed")[halves[i] - 1],
-                       estimate[i], drift[i])
+                       estimate[i], drift[i], alpha, 2 * entry)
     if np.ndim(k) == 0:
         return fp[0], dfp[0], fm[0], dfm[0]
     return fp, dfp, fm, dfm
@@ -471,9 +526,9 @@ def scattering(potential: Callable, k, grid: GridSpec):
     ``k`` is a float, which gives one ``ScatteringResult``, or a 1-D array of
     momenta, which gives a list of them, item i bit for bit the result for
     k[i] alone; the momenta share one ``jost_solutions`` pass, with its one
-    ladder of step counts and one sample of V per rung, and a momentum that
-    is not positive or too small for the box raises ``DomainError`` before
-    any integration.  The
+    graded mesh, one ladder of step counts from one entry rung and one
+    sample of V per rung, and a momentum that is not positive or too small
+    for the box raises ``DomainError`` before any integration.  The
     amplitudes are read from the plane-wave content of f+ at x = -L and of f-
     at x = +L, which ``jost_solutions`` gives to within
     ``_JOST_TOL`` (1 + max|f|), with ``_JOST_TOL`` = 1e-11; only

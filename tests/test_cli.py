@@ -78,8 +78,8 @@ _GOLDEN_SHA256 = {
         "26890023af34d2948c8d78ff53e6dd2d8f20594c9e993999bbb8e66759cd6ab4",
         "fe245a6ec20ca8042d7a465b44dc1518705e41ac30d7c204ee837f7a9783d2a0",
         "15207d4bd4d3c82675796cb5212b2c95cfbefd30052d2a5883c086643a0694a9",
-        "5ec09c44508ef42bab4366177d94959f30e462470b5b47442e2a4056bc25283f",
-        "d238f86645214f5c7f82f0c0bc4a32531bb8160eba05c2e8c1128c491ae355b1",
+        "3c563c47522d0412d3e17a012ada6020969701d95b3448913399e7a4bc20671f",
+        "92cb2f10d50aa75f76d6871f2914967f875974eb852dd27da3b0b056fd107d0f",
     ),
     ("1", "5"): (
         "e2a4edc4760171d23eefeeaa641de10e15ccaa5f53c9e488c0e615b9817d5577",
@@ -89,8 +89,8 @@ _GOLDEN_SHA256 = {
         "2e3a525acbdb16225ee0efd3b4da007bfe6de350d77ad3f48ec0c953846653e9",
         "1244eaf6ce01dbd2b5d86173c35d4f357e39ca899872ea85d8d4d73acf08bc0e",
         "f548f79ab11e76e8f80c144094205bdf91f4acf7f9be0591efb0b474ac6b8d3f",
-        "e80619cb43512231c03c2f0fbcab9146d1cd2a7be1121ad97a1b2d9eafce1495",
-        "89b81ecc5a926dd16178ae6551ba9d32131c09051d51bcc4e1c82a689bc1fb09",
+        "85985e16d9889298426064ea821d8f03bcfb4ea29f88b35508a59b649927fe24",
+        "cc3f0e4b7d93f937b887fb8159ae32b72f995cd3ffe428957bdf69db141be1f1",
     ),
     ("2", "6.75"): (
         "ae3e7cb0d4c28374b8e6cb20ae68ac6645b6da3f3f30297b0c9ed03843d785a7",
@@ -100,8 +100,8 @@ _GOLDEN_SHA256 = {
         "21487af1e6b95c0f74ee96c84fa4983f308b55e8ab9863f2983234f9a562d411",
         "3bab084caf14e4c0925fb761fec3923fd72416713b06ffd92e433849d3d30cb0",
         "c199c58e01b2816cc1bb501ab4befba219fd1443a091101d785fba20bd980128",
-        "6fe98829157e2c313fa1721f90d71b63e67a3e404b0ea9bf0f3899054b20f813",
-        "363fc09e6aa6544c8c5ef0ba85e060ebe25c44cf37a2fb1093c3af9bfab4f2c4",
+        "3618903593a2435b34e3f907f49520be6e9c05d76dc0c73ade4b72d40ea60544",
+        "fbade3e698dd7ee901ff8e0d2ebb36463e922146f94a12be2a7d3d9d1d422337",
     ),
     ("6", "2.25"): (
         "3bb09c33a29f02e2d7a255140aedaf9b4db23985c18dc0836df80250c9db173e",
@@ -111,8 +111,8 @@ _GOLDEN_SHA256 = {
         "67efe40d48b824cbcc6e411097c911381fa81f69f83a679d88b5db0559fd5888",
         "b7dc3e95f4905779881f41972dedaaf9bbb910644a21ca364ec1d1ae5758acdb",
         "3cb735a04ae685b9ce22c419e6452f3a99d9ded8de9e11fb476c3b2c071c8f7a",
-        "042ce439d84781997eca1e7f994b0c2673576f9bda687be77d6677efd63e3212",
-        "102ca3f53807e11e01106248ad0080946f974fd6a65fdd7c2fc1a59e29b820c5",
+        "b43fc6cc118842f67e72639460b72c8797c6197acf569ecf5ee8ff5e40127bd9",
+        "cd51a1f87dd0e44dde6c3c72c3a87691feab2bbee68fc216f2140d3d3fad6386",
     ),
 }
 

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import mpmath as mp
 import numpy as np
@@ -441,22 +442,21 @@ def test_scattering_matches_gamma_closed_form(v1, v2):
 
 
 def _gaussian_well(x):
-    # a well that the wall samples at -L, 0 and L miss, so a momentum's entry
-    # rung depends on k alone, while inside it |h^2 (V - k^2)| can pass 0.1
+    # an off-centre well: the graded mesh, finest round x = 0, crosses it with
+    # longer steps than a centred one, and inside it |h^2 (V - k^2)| can pass 0.1
     x = np.asarray(x, dtype=float)
     return -40.0 * np.exp(-4.0 * (x - 5.0) ** 2)
 
 
 @pytest.mark.parametrize("potential, ks, covers", [
-    # 41 momenta: more than the 16 that share a tile at 128 steps per half
+    # 41 momenta: more than the 32 that share a tile at 128 steps per half
     (_pot(PARAMS_COMPLEX), np.linspace(0.4, 3.0, 41), "tiles"),
-    # k <= 1.3 enter at 128 steps per half, 5.5 and 6 at 512; at 512 steps the
-    # well needs the closed-form step exponentials for k = 5.5 and 6 and only
-    # the series for k <= 1.3, and k = 5.5 shares a tile with smaller momenta
+    # on some rung the well needs the closed-form step exponentials for
+    # k = 5.5 and 6 and only the series for smaller momenta in the same tile
     (_gaussian_well, np.array([1.0, 6.0, 1.3, 5.5, 0.7]), "forms"),
-    # k = 0.5 leaves at 1024 steps per half before k = 30 enters at 4096
-    (_pot(PARAMS_COMPLEX), np.array([0.5, 30.0]), "gap"),
-], ids=["sweep", "mixed-forms", "entry-after-a-gap"])
+    # k = 0.5 leaves the ladder rungs before k = 30
+    (_pot(PARAMS_COMPLEX), np.array([0.5, 30.0]), "leave"),
+], ids=["sweep", "mixed-forms", "leave-at-different-rungs"])
 def test_batched_momenta_match_single_calls_bit_for_bit(monkeypatch, caplog, potential,
                                                         ks, covers):
     grid = GridSpec(20.0, 201)
@@ -465,9 +465,9 @@ def test_batched_momenta_match_single_calls_bit_for_bit(monkeypatch, caplog, pot
     propagators = verify_module._propagators
     step_exponentials = verify_module._step_exponentials
 
-    def spy_propagators(potential, L, n, k2):
+    def spy_propagators(potential, L, n, alpha, k2):
         rungs.append((n, len(k2)))
-        return propagators(potential, L, n, k2)
+        return propagators(potential, L, n, alpha, k2)
 
     def spy_step_exponentials(w1, w2, h):
         c = (np.sqrt(3.0) / 12.0) * h * h * (w1 - w2)
@@ -482,11 +482,11 @@ def test_batched_momenta_match_single_calls_bit_for_bit(monkeypatch, caplog, pot
     records = [r.args for r in caplog.records]
     jost = jost_solutions(potential, ks, grid)
     # the batch spread over several tiles at some rung, mixed the two forms of
-    # the step exponentials within one tile, or skipped rungs no momentum was on
+    # the step exponentials within one tile, or left the ladder at two rungs
     tile = verify_module._BLOCK // 2
     assert {"tiles": any(m * min(n, tile) > tile for n, m in rungs),
             "forms": any(r.any() and not r.all() for r in rows),
-            "gap": any(b > 2 * a for (a, _), (b, _) in zip(rungs, rungs[1:]))}[covers]
+            "leave": any(b < a for (_, a), (_, b) in zip(rungs, rungs[1:]))}[covers]
     assert len(batch) == len(records) == len(ks)
     for i, k in enumerate(ks):
         caplog.clear()
@@ -509,6 +509,23 @@ def test_partner_scattering_matches_susy_relation():
             ik = 1j * k
             ref = _gamma_transmission(12.0, 6.0, k) * (ik + br.a - 1) / (ik - br.a + 1)
             assert abs(t - ref) <= 2e-6 * abs(ref) * max(1.0, abs(ref)), (signs, k)
+
+
+@pytest.mark.parametrize("v1, v2", [(12.0, 0.1), (100.0, 1.0)])
+@pytest.mark.parametrize("signs", [(1, 1), (-1, -1)], ids=["++", "--"])
+def test_near_pole_partner_scattering_matches_susy_relation(v1, v2, signs):
+    # these partners peak at |V_ext(0)| = 6e4 to 2e5 in a spike of width
+    # |c| = 3e-3 to 6e-3 round x = 0, which equal steps over [-L, L] did not
+    # resolve within the step cap
+    grid = GridSpec(20.0, 201)
+    params = CouplingParams(v1, v2)
+    br = solve_branch(derive(params), *signs)
+    pot = lambda x: extended_potential(br, params, x)
+    for k in (1.0, 2.5):
+        t = scattering(pot, k, grid).transmission
+        ik = 1j * k
+        ref = _gamma_transmission(v1, v2, k) * (ik + br.a - 1) / (ik - br.a + 1)
+        assert abs(t - ref) <= 2e-6 * abs(ref) * max(1.0, abs(ref)), k
 
 
 def _dop853_jost(potential, k, half_width):
@@ -541,9 +558,12 @@ def test_jost_solutions_match_independent_integrator():
     # halves
     potentials = [_pot(PARAMS_REAL)] + [_partner(PARAMS_REAL, s) for s in BRANCH_SIGNS]
     potentials += [_partner(CouplingParams(2.0, 6.75), (1, 1)), _gaussian_well]
-    for i, pot in enumerate(potentials):
-        got = jost_solutions(pot, 1.1, grid)
-        ref = _dop853_jost(pot, 1.1, grid.half_width)
+    # every momentum enters at the same rung, so k = 10 on the off-centre well
+    # takes the graded mesh's longest steps relative to V's scale
+    cases = [(pot, 1.1) for pot in potentials] + [(_gaussian_well, 10.0)]
+    for i, (pot, k) in enumerate(cases):
+        got = jost_solutions(pot, k, grid)
+        ref = _dop853_jost(pot, k, grid.half_width)
         for g, r in zip(got, ref):
             assert np.max(np.abs(g - r)) <= 1e-9 * np.max(np.abs(r)), i
 
@@ -595,7 +615,7 @@ def test_jost_solutions_integrates_both_halves_of_a_non_pt_potential(monkeypatch
 
 def test_jost_solutions_unreachable_tolerance_raises():
     # the kinks of V at the zeros of sin 7.3x spoil the high-order convergence,
-    # so the Richardson estimate is still 8e-7 at the step cap
+    # so the Richardson estimate is still 1.2e-7 at the step cap
     kinked = lambda x: -3.0 * np.abs(np.sin(7.3 * x))
     with pytest.raises(ConvergenceError, match="k = 1"):
         jost_solutions(kinked, 1.0, GridSpec(20.0, 201))
@@ -607,11 +627,22 @@ def test_jost_solutions_debug_record(caplog):
         jost_solutions(_pot(PARAMS_COMPLEX), 1.0, g)
     records = [r for r in caplog.records if r.name == "scarf_spectra"]
     assert len(records) == 1 and records[0].levelno == logging.DEBUG
-    k, steps, halves, estimate, drift = records[0].args
-    assert k == 1.0 and steps > 0
+    k, steps, halves, estimate, drift, alpha, entry = records[0].args
+    assert k == 1.0
     assert halves == "mirrored"
     assert 0.0 <= estimate < 1e-10
     assert 0.0 <= drift < 1e-12
+    assert math.isfinite(alpha) and alpha > 0.0
+    # 128 steps per half, the first power of two >= 4 L; the first two rungs
+    # cannot meet the tolerance
+    assert entry == 256 and steps >= 4 * entry
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="scarf_spectra"):
+        jost_solutions(_pot(PARAMS_COMPLEX), np.array([0.5, 1.0, 30.0]), g)
+    args = [r.args for r in caplog.records]
+    # one mesh and one entry rung for the whole batch
+    assert len(args) == 3
+    assert {a[5] for a in args} == {alpha} and {a[6] for a in args} == {entry}
 
 
 # ---------------------------------------------------------------------------
