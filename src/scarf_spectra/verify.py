@@ -23,16 +23,18 @@ their mirror image; alpha comes once per call from the largest |V| on a
 probe of V (``_mesh_alpha``).  A float momentum is a batch of one: the
 momenta of a batch share one ladder of step counts, doubling from the first
 power of two n >= 4L, whatever k (the Magnus error does not grow with k;
-Iserles, BIT 42 (2002) 561), and one vectorized call of V per rung serves
-both half boxes and every momentum on it; when its samples are exactly
-PT-symmetric (the eigen-solve's test) only the right half box is integrated
-and, k^2 being real, the left propagator is its mirror image.  Tiles of at
-most ``_BLOCK`` step matrices have a step count set by the rung alone, so a
-momentum's result does not depend on its batch.  Each momentum leaves the
-ladder once the error estimate of its latest Richardson extrapolation meets
-the fixed tolerance ``_JOST_TOL``.  The
-|T| peak search samples a momentum window in one batched call, then bisects
-round the largest |T|, both midpoints in one batched call per step.
+Iserles, BIT 42 (2002) 561), and one sample of V per pass serves both half
+boxes and every momentum in it.  No momentum can leave before the third
+rung, so the entry pass covers the first three rungs, n, 2n and 4n, and
+each later pass one rung.  When a rung's samples are exactly PT-symmetric
+(the eigen-solve's test) only the right half box is integrated and, k^2
+being real, the left propagator is its mirror image.  Tiles of at most
+``_BLOCK`` step matrices have a step count set by the pass's rungs alone,
+so a momentum's result does not depend on its batch.  Each momentum leaves
+the ladder once the error estimate of its latest Richardson extrapolation
+meets the fixed tolerance ``_JOST_TOL``.  The |T| peak search samples a
+momentum window in one batched call, then bisects round the largest |T|,
+both midpoints in one batched call per step.
 ``residual`` applies the eighth-order central finite-difference Laplacian on a
 uniform grid.  The module needs numpy only.
 """
@@ -259,7 +261,8 @@ class ScatteringResult:
 
 
 def _step_exponentials(w1, w2, h):
-    """exp(Omega) of fourth-order Magnus steps of (psi, psi')' = [[0, 1], [w, 0]].
+    """exp(Omega) of fourth-order Magnus steps of (psi, psi')' = [[0, 1], [w, 0]],
+    an array of shape (2, 2) + the shape of the steps.
 
     ``w1``, ``w2`` are V - k^2 at the two Gauss nodes of each step and ``h``
     the step lengths, an array that broadcasts against them.  With
@@ -283,7 +286,13 @@ def _step_exponentials(w1, w2, h):
         s = np.sqrt(s2[big])
         ch[big] = np.cosh(s)
         shc[big] = np.sinh(s) / s
-    return ch + shc * c, shc * h, shc * hw, ch - shc * c
+    m = np.empty((2, 2) + s2.shape, dtype=complex)
+    sc = shc * c
+    np.add(ch, sc, out=m[0, 0])
+    np.multiply(shc, h, out=m[0, 1])
+    np.multiply(shc, hw, out=m[1, 0])
+    np.subtract(ch, sc, out=m[1, 1])
+    return m
 
 
 def _mesh_alpha(v_max: float) -> float:
@@ -304,74 +313,114 @@ def _mesh_alpha(v_max: float) -> float:
 
 
 def _mul(m1, m0):
-    """m1 @ m0 for 2x2 matrices (a, b, c, d) = [[a, b], [c, d]], elementwise
-    when the entries are arrays."""
-    a1, b1, c1, d1 = m1
-    a0, b0, c0, d0 = m0
-    return (a1 * a0 + b1 * c0, a1 * b0 + b1 * d0,
-            c1 * a0 + d1 * c0, c1 * b0 + d1 * d0)
+    """m1 @ m0 for 2x2 matrices held as arrays of shape (2, 2, ...),
+    elementwise over the trailing axes: the outer product of m1's first
+    column and m0's first row plus that of the second ones."""
+    return m1[:, :1] * m0[:1] + m1[:, 1:] * m0[1:]
 
 
-def _product(m):
-    """M[n-1] ... M[1] M[0] along the last axis of the entry arrays ``m``, n a
-    power of two, by pairwise tree reduction: log2(n) passes over the arrays."""
-    while m[0].shape[-1] > 1:
-        m = _mul([x[..., 1::2] for x in m], [x[..., 0::2] for x in m])
-    return tuple(x[..., 0] for x in m)
+def _product(m, sizes):
+    """The products M[e-1] ... M[s+1] M[s] of consecutive segments [s, e) of
+    the last axis of the matrices ``m`` (shape (2, 2, ...)), one per length
+    in ``sizes``: powers of two, none longer than the one before, so that
+    each segment starts at a multiple of its own length.  One pairwise tree
+    reduction serves them all, log2(sizes[0]) passes over the arrays: no pair
+    straddles two segments, and a segment is peeled off the end once it has
+    reduced to one matrix.  So each product is formed exactly as by the tree
+    over its segment alone."""
+    sizes = list(sizes)
+    out = []
+    while True:
+        while sizes and sizes[-1] == 1:
+            out.append(m[..., -1])
+            m = m[..., :-1]
+            sizes.pop()
+        if not sizes:
+            return out[::-1]
+        m = _mul(m[..., 1::2], m[..., 0::2])
+        sizes = [s // 2 for s in sizes]
 
 
-def _propagators(potential: Callable, L: float, n: int, alpha: float, k2):
+def _propagators(potential: Callable, L: float, counts, alpha: float, k2):
     """Magnus propagators across [-L, 0] and [0, L], n graded steps each, for
-    each of the real squared momenta ``k2``, as entry arrays of shape
-    (len(k2), 2), from one vectorized sample of V at the 4n Gauss nodes, and
-    whether the one of [-L, 0] was mirrored.
+    each step count n of ``counts`` (powers of two, largest first) and each
+    of the real squared momenta ``k2``, from one sample of V at the 4n Gauss
+    nodes of every count.  Returns (props, mirrored): props holds the entries
+    a, b, c, d of each [[a, b], [c, d]] in an array of shape
+    (len(counts), 4, len(k2), 2), [-L, 0] then [0, L] on the last axis, and
+    mirrored says for each count whether its propagator of [-L, 0] was
+    mirrored.
 
     The step edges of [0, L] are x = L sinh(alpha t) / sinh(alpha) at
     t = 0, 1/n, ..., 1 (``alpha`` > 0), short round x = 0 and about
     cosh(alpha) times longer at the walls, and each step has its two Gauss
     nodes at its own midpoint -+ ``_GAUSS_OFFSET`` times its own length.  The
-    nodes of [-L, 0] are the exact negatives of those of [0, L], so the
-    ascending node array satisfies x[::-1] == -x, and the steps of [-L, 0]
-    are those of [0, L] in reverse order.  When the samples are
-    exactly PT-symmetric (``_pt_symmetric``) only the steps of [0, L] are
-    multiplied: for real k^2 the step of [-L, 0] at -x is the conjugate of
-    the step at x with its two nodes swapped, conj(S M^-1 S) with
+    nodes of [-L, 0] are the exact negatives of those of [0, L], so each
+    count's ascending node array satisfies x[::-1] == -x, and the steps of
+    [-L, 0] are those of [0, L] in reverse order.  When a count's samples
+    are exactly PT-symmetric (``_pt_symmetric``) its propagator of [0, L]
+    alone is needed: for real k^2 the step of [-L, 0] at -x is the conjugate
+    of the step at x with its two nodes swapped, conj(S M^-1 S) with
     S = diag(1, -1), and since the two-node Magnus step is time-symmetric
     this holds for the discrete propagator too, so U = [[a, b], [c, d]] of
-    [0, L] gives conj([[d, b], [c, a]]) for [-L, 0].  Any other V has both
-    halves multiplied.
+    [0, L] gives conj([[d, b], [c, a]]) for [-L, 0].  Only [0, L] is
+    multiplied when every count's samples pass; otherwise both halves are.
 
-    The steps are multiplied in tiles of c momenta, the halves integrated and
-    b steps, c * halves * b <= ``_BLOCK`` matrices: b = min(n, ``_BLOCK`` / 2)
-    depends on n alone, so each momentum's product is formed in the same
-    order whatever the batch.
+    The counts' steps are laid end to end, largest first, and multiplied in
+    tiles of c momenta, the halves integrated and b steps,
+    c * halves * b <= ``_BLOCK`` matrices, b = min(sum(counts), ``_BLOCK`` / 2).
+    A count of b steps or more fills whole tiles, whose products are
+    multiplied in order; a shorter one lies inside one tile, which one
+    segmented tree (``_product``) reduces.  So each count's product is formed
+    as in a pass of that count alone, whatever the batch and whatever counts
+    share the pass.
     """
-    edges = L * (np.sinh(alpha * (np.arange(n + 1) / n)) / np.sinh(alpha))
-    h = np.diff(edges)
-    right = ((edges[:-1] + 0.5 * h)[:, None]
+    top = counts[0]
+    # the edges of n steps are every (top / n)-th edge of top steps, bit for
+    # bit; the steps of [0, L] and their nodes, count by count
+    edges = L * (np.sinh(alpha * (np.arange(top + 1) / top)) / np.sinh(alpha))
+    lo = np.concatenate([edges[:-1:top // n] for n in counts])
+    h = np.concatenate([edges[top // n::top // n] for n in counts]) - lo
+    right = ((lo + 0.5 * h)[:, None]
              + h[:, None] * np.array([-_GAUSS_OFFSET, _GAUSS_OFFSET])).ravel()
-    x = np.concatenate((-right[::-1], right))
+    starts = [sum(counts[:s]) for s in range(len(counts))]
+    # each count's nodes of [-L, 0], the exact negatives, then of [0, L]
+    x = np.concatenate([part for j, n in zip(starts, counts)
+                        for part in (-right[2 * j:2 * (j + n)][::-1],
+                                     right[2 * j:2 * (j + n)])])
     v = np.asarray(potential(x), dtype=complex)
     check_finite("potential", v, x)
-    mirrored = _pt_symmetric(v)
-    v = v.reshape(2, n, 2)[int(mirrored):]      # half, step, node
-    h = np.stack((h[::-1], h))[int(mirrored):]  # half, step
-    b = min(n, _BLOCK // 2)
+    samples = [v[4 * j:4 * (j + n)] for j, n in zip(starts, counts)]
+    mirrored = [_pt_symmetric(s) for s in samples]
+    one = int(all(mirrored))                    # 1 if [0, L] alone is integrated
+    v = np.concatenate([s.reshape(2, n, 2) for s, n in zip(samples, counts)],
+                       axis=1)[one:]            # half, step, node
+    h = np.stack((np.concatenate([h[j:j + n][::-1] for j, n in zip(starts, counts)]),
+                  h))[one:]                     # half, step
+    owner = np.repeat(np.arange(len(counts)), counts)  # the count of each step
+    b = min(len(owner), _BLOCK // 2)
     c = _BLOCK // (len(v) * b)
-    chunks = []
+    # the counts in each tile and their numbers of steps there
+    tiles = []
+    for j in range(0, len(owner), b):
+        sizes = np.bincount(owner[j:j + b])
+        tiles.append((j, np.flatnonzero(sizes), sizes[sizes > 0].tolist()))
+    props = np.empty((len(counts), 2, 2, len(k2), len(v)), dtype=complex)
     for i in range(0, len(k2), c):
         w = k2[i:i + c, None, None]
-        m = None
-        for j in range(0, n, b):
+        m = [None] * len(counts)
+        for j, inside, sizes in tiles:
             p = _product(_step_exponentials(v[:, j:j + b, 0] - w, v[:, j:j + b, 1] - w,
-                                            h[:, j:j + b]))
-            m = p if m is None else _mul(p, m)
-        chunks.append(m)
-    props = [np.concatenate(x) for x in zip(*chunks)]
-    if mirrored:                                # [-L, 0]: conj([[d, b], [c, a]])
-        props = [np.concatenate((props[j].conj(), x), axis=1)
-                 for j, x in zip((3, 1, 2, 0), props)]
-    return props, mirrored
+                                            h[:, j:j + b]), sizes)
+            for s, ps in zip(inside, p):
+                m[s] = ps if m[s] is None else _mul(ps, m[s])
+        for s, ms in enumerate(m):
+            props[s, :, :, i:i + c] = ms
+    props = props.reshape(len(counts), 4, len(k2), len(v))
+    # [-L, 0]: conj([[d, b], [c, a]]) of [0, L] where mirrored
+    left = np.where(np.reshape(mirrored, (-1, 1, 1, 1)),
+                    props[:, [3, 1, 2, 0], :, -1:].conj(), props[..., :1])
+    return np.concatenate((left, props[..., -1:]), axis=-1), mirrored
 
 
 def _sweep(props, k, phase) -> np.ndarray:
@@ -420,34 +469,38 @@ def jost_solutions(potential: Callable, k, grid: GridSpec):
     bit, only [0, L] is integrated and the propagator of [-L, 0] is its
     mirror image (``_propagators``), which needs the real k^2 that the k > 0
     check ensures.  A float is a batch of one; the momenta of a batch share
-    one ladder of step counts and one sample of V at the 4n Gauss nodes of a
-    rung serves both halves and every momentum still on the ladder.  Every
-    momentum enters at the same rung, the first power of two n >= 4L per
-    half (128 at L = 20), whatever k: the error of a Magnus step does not
-    grow with k (A. Iserles, BIT 42 (2002) 561).  A momentum leaves at the
-    first rung where its sixth-order Richardson extrapolations
-    (16 f_n - f_{n/2}) / 15 of this rung and the last differ by at most
-    63 (tol + tol max|f|), with the fixed tol = ``_JOST_TOL`` = 1e-11, at all
-    three points, for each of f+, f+', f-, f-' with its own max|f|: the
-    error falls 64-fold per doubling, so that difference over 63 estimates
-    the error of the later extrapolation, which is returned; so no momentum
-    leaves before the third rung, 512 steps per half at L = 20.  If some
-    momentum does not get there within ``_MAX_STEPS`` steps, a
-    ``ConvergenceError`` names it and its estimate.  The steps of a rung are
-    multiplied in tiles of ``_BLOCK`` = 4096 matrices or fewer,
-    b = min(n, 2048) steps of the one or two halves integrated for
-    4096 / (halves b) momenta at a time, so besides the 4n samples of V no
-    temporary holds more than ``_BLOCK`` entries; b depends on n alone, and
-    alpha and the entry rung on V and L alone, so a momentum's arithmetic
-    does not depend on the batch.  ``potential`` is called with arrays only;
-    a sample that is not finite raises ``DomainError`` naming its x.  Every
-    propagator has determinant 1, so the Wronskian fp*dfm - dfp*fm is the
-    same at the three points up to roundoff and the extrapolation error.
-    Each momentum logs one DEBUG record on the ``scarf_spectra`` logger with
-    k, the final step count over [-L, L], whether its rungs were "mirrored",
-    integrated on "both halves" or "mixed", the Richardson estimate
-    (relative to max|f|), the Wronskian drift across the three points, the
-    mesh alpha and the entry rung's step count over [-L, L].
+    one ladder of step counts, and one sample of V per pass, at the 4n Gauss
+    nodes of each of its rungs n, serves both halves and every momentum
+    still on the ladder.  Every momentum enters at the same rung, the first
+    power of two n >= 4L per half (128 at L = 20), whatever k: the error of
+    a Magnus step does not grow with k (A. Iserles, BIT 42 (2002) 561).  A
+    momentum leaves at the first rung where its sixth-order Richardson
+    extrapolations (16 f_n - f_{n/2}) / 15 of this rung and the last differ
+    by at most 63 (tol + tol max|f|), with the fixed tol = ``_JOST_TOL`` =
+    1e-11, at all three points, for each of f+, f+', f-, f-' with its own
+    max|f|: the error falls 64-fold per doubling, so that difference over 63
+    estimates the error of the later extrapolation, which is returned; so no
+    momentum leaves before the third rung, 512 steps per half at L = 20.  So
+    the entry pass covers the first three rungs (within the step cap), and
+    each later pass one rung.  If some momentum does not get there within
+    ``_MAX_STEPS`` steps, a ``ConvergenceError`` names it and its estimate.
+    The steps of a pass are multiplied in tiles of ``_BLOCK`` = 4096
+    matrices or fewer, b = min(the pass's steps per half, 2048) steps of the
+    one or two halves integrated for 4096 / (halves b) momenta at a time
+    (4 in the mirrored entry pass at L = 20, 512 + 256 + 128 steps), so
+    besides V's samples and their nodes no temporary holds more than
+    ``_BLOCK`` entries; each rung's product is formed as in a pass of its
+    own, and alpha and the entry rung depend on V and L alone, so a
+    momentum's arithmetic does not depend on the batch.  ``potential`` is
+    called with arrays only; a sample that is not finite raises
+    ``DomainError`` naming its x.  Every propagator has determinant 1, so
+    the Wronskian fp*dfm - dfp*fm is the same at the three points up to
+    roundoff and the extrapolation error.  Each momentum logs one DEBUG
+    record on the ``scarf_spectra`` logger with k, the final step count over
+    [-L, L], whether its rungs were "mirrored", integrated on "both halves"
+    or "mixed", the Richardson estimate (relative to max|f|), the Wronskian
+    drift across the three points, the mesh alpha and the entry rung's step
+    count over [-L, L].
     """
     L = grid.half_width
     if np.ndim(k) > 1:
@@ -475,31 +528,36 @@ def jost_solutions(potential: Callable, k, grid: GridSpec):
     steps = np.zeros(len(ks), dtype=int)
     estimate = np.empty(len(ks))
     halves = np.zeros(len(ks), dtype=int)      # 1 if a rung mirrored, 2 if not
-    n = entry
+    # no momentum can leave before the third rung, so the entry pass takes
+    # the first three rungs at once (within the step cap); each later pass
+    # takes one
+    rungs = [n for n in (entry, 2 * entry, 4 * entry) if n == entry or 2 * n <= _MAX_STEPS]
     while not steps.all():
         on = np.flatnonzero(steps == 0)
-        props, mirrored = _propagators(potential, L, n, alpha, k2[on])
-        halves[on] |= 1 if mirrored else 2
-        fine = _sweep(props, ks[on], phase[on])
-        if not np.isfinite(fine).all():
-            i = on[~np.isfinite(fine).all(axis=(1, 2))][0]
-            raise ConvergenceError(f"Jost integration at k = {ks[i]:.6g} is not finite")
-        ext = (16.0 * fine - coarse[on]) / 15.0
-        size = np.abs(ext).max(axis=2, keepdims=True)
-        diff = np.abs(ext - extrapolated[on]) / 63.0
-        # fmin turns the NaN of the first two rungs into inf
-        estimate[on] = np.fmin((diff / np.maximum(size, 1e-300)).max(axis=(1, 2)), math.inf)
-        met = (diff <= _JOST_TOL + _JOST_TOL * size).all(axis=(1, 2))
-        out[on[met]] = ext[met]
-        steps[on[met]] = 2 * n
-        if 4 * n > _MAX_STEPS and not met.all():
-            i = on[~met][0]
-            raise ConvergenceError(
-                f"Jost integration at k = {ks[i]:.6g} did not reach the tolerance "
-                f"{_JOST_TOL:g} within {2 * n} steps: "
-                f"Richardson estimate {estimate[i]:.3g} relative")
-        coarse[on], extrapolated[on] = fine, ext
-        n *= 2
+        props, mirrored = _propagators(potential, L, tuple(rungs[::-1]), alpha, k2[on])
+        for n, rung, mirror in zip(rungs, props[::-1], mirrored[::-1]):
+            halves[on] |= 1 if mirror else 2
+            fine = _sweep(rung, ks[on], phase[on])
+            if not np.isfinite(fine).all():
+                i = on[~np.isfinite(fine).all(axis=(1, 2))][0]
+                raise ConvergenceError(f"Jost integration at k = {ks[i]:.6g} is not finite")
+            ext = (16.0 * fine - coarse[on]) / 15.0
+            size = np.abs(ext).max(axis=2, keepdims=True)
+            diff = np.abs(ext - extrapolated[on]) / 63.0
+            # fmin turns the NaN of the first two rungs into inf
+            estimate[on] = np.fmin((diff / np.maximum(size, 1e-300)).max(axis=(1, 2)),
+                                   math.inf)
+            met = (diff <= _JOST_TOL + _JOST_TOL * size).all(axis=(1, 2))
+            out[on[met]] = ext[met]
+            steps[on[met]] = 2 * n
+            if 4 * n > _MAX_STEPS and not met.all():
+                i = on[~met][0]
+                raise ConvergenceError(
+                    f"Jost integration at k = {ks[i]:.6g} did not reach the tolerance "
+                    f"{_JOST_TOL:g} within {2 * n} steps: "
+                    f"Richardson estimate {estimate[i]:.3g} relative")
+            coarse[on], extrapolated[on] = fine, ext
+        rungs = [2 * n]
     out[:, 0, 2] = phase
     out[:, 1, 2] = 1j * ks * phase
     out[:, 2, 0] = phase
@@ -527,7 +585,7 @@ def scattering(potential: Callable, k, grid: GridSpec):
     momenta, which gives a list of them, item i bit for bit the result for
     k[i] alone; the momenta share one ``jost_solutions`` pass, with its one
     graded mesh, one ladder of step counts from one entry rung and one
-    sample of V per rung, and a momentum that is not positive or too small
+    sample of V per pass, and a momentum that is not positive or too small
     for the box raises ``DomainError`` before any integration.  The
     amplitudes are read from the plane-wave content of f+ at x = -L and of f-
     at x = +L, which ``jost_solutions`` gives to within

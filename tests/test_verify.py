@@ -448,26 +448,29 @@ def _gaussian_well(x):
     return -40.0 * np.exp(-4.0 * (x - 5.0) ** 2)
 
 
-@pytest.mark.parametrize("potential, ks, covers", [
-    # 41 momenta: more than the 32 that share a tile at 128 steps per half
-    (_pot(PARAMS_COMPLEX), np.linspace(0.4, 3.0, 41), "tiles"),
+@pytest.mark.parametrize("potential, ks, grid, covers", [
+    # 41 momenta: more than the 4096 // 896 = 4 that share a tile in the
+    # entry pass at L = 20 (512 + 256 + 128 steps of a mirrored V)
+    (_pot(PARAMS_COMPLEX), np.linspace(0.4, 3.0, 41), GridSpec(20.0, 201), "tiles"),
     # on some rung the well needs the closed-form step exponentials for
     # k = 5.5 and 6 and only the series for smaller momenta in the same tile
-    (_gaussian_well, np.array([1.0, 6.0, 1.3, 5.5, 0.7]), "forms"),
+    (_gaussian_well, np.array([1.0, 6.0, 1.3, 5.5, 0.7]), GridSpec(20.0, 201), "forms"),
     # k = 0.5 leaves the ladder rungs before k = 30
-    (_pot(PARAMS_COMPLEX), np.array([0.5, 30.0]), "leave"),
-], ids=["sweep", "mixed-forms", "leave-at-different-rungs"])
+    (_pot(PARAMS_COMPLEX), np.array([0.5, 30.0]), GridSpec(20.0, 201), "leave"),
+    # the entry at L = 80 is 512 steps per half, so its pass holds
+    # 2048 + 1024 + 512 steps per half, more than one tile's 2048
+    (_pot(PARAMS_COMPLEX), np.array([0.5, 2.0, 1.0]), GridSpec(80.0, 201), "span"),
+], ids=["sweep", "mixed-forms", "leave-at-different-rungs", "entry-spans-tiles"])
 def test_batched_momenta_match_single_calls_bit_for_bit(monkeypatch, caplog, potential,
-                                                        ks, covers):
-    grid = GridSpec(20.0, 201)
+                                                        ks, grid, covers):
     ks = np.random.default_rng(0).permutation(ks)
-    rungs, rows = [], []
+    passes, rows = [], []
     propagators = verify_module._propagators
     step_exponentials = verify_module._step_exponentials
 
-    def spy_propagators(potential, L, n, alpha, k2):
-        rungs.append((n, len(k2)))
-        return propagators(potential, L, n, alpha, k2)
+    def spy_propagators(potential, L, counts, alpha, k2):
+        passes.append((counts, len(k2)))
+        return propagators(potential, L, counts, alpha, k2)
 
     def spy_step_exponentials(w1, w2, h):
         c = (np.sqrt(3.0) / 12.0) * h * h * (w1 - w2)
@@ -481,12 +484,15 @@ def test_batched_momenta_match_single_calls_bit_for_bit(monkeypatch, caplog, pot
     # each record's Richardson estimate depends on the last three rungs
     records = [r.args for r in caplog.records]
     jost = jost_solutions(potential, ks, grid)
-    # the batch spread over several tiles at some rung, mixed the two forms of
-    # the step exponentials within one tile, or left the ladder at two rungs
-    tile = verify_module._BLOCK // 2
-    assert {"tiles": any(m * min(n, tile) > tile for n, m in rungs),
+    # the batch spread over several tiles of a pass (a mirrored V's tile holds
+    # 4096 // b momenta, b = min(steps per half, 2048)), mixed the two forms
+    # of the step exponentials within one tile, left the ladder at two rungs,
+    # or had a pass with more steps per half than one tile holds
+    block = verify_module._BLOCK
+    assert {"tiles": any(m > block // min(sum(n), block // 2) for n, m in passes),
             "forms": any(r.any() and not r.all() for r in rows),
-            "leave": any(b < a for (_, a), (_, b) in zip(rungs, rungs[1:]))}[covers]
+            "leave": any(b < a for (_, a), (_, b) in zip(passes, passes[1:])),
+            "span": any(sum(n) > block // 2 for n, _ in passes)}[covers]
     assert len(batch) == len(records) == len(ks)
     for i, k in enumerate(ks):
         caplog.clear()
@@ -591,11 +597,14 @@ def _halves_spy(monkeypatch):
     return halves
 
 
-@pytest.mark.parametrize("potential", [
-    _pot(PARAMS_COMPLEX), _pot(CouplingParams(2.0, 6.75)), _partner(PARAMS_REAL, (-1, -1))],
-    ids=["(1, 5)", "(2, 6.75)", "(12, 6) partner (-, -)"])
-def test_mirrored_propagator_matches_both_halves(monkeypatch, potential):
-    grid = GridSpec(20.0, 201)
+@pytest.mark.parametrize("potential, grid", [
+    (_pot(PARAMS_COMPLEX), GridSpec(20.0, 201)),
+    (_pot(CouplingParams(2.0, 6.75)), GridSpec(20.0, 201)),
+    (_partner(PARAMS_REAL, (-1, -1)), GridSpec(20.0, 201)),
+    # an entry pass of 2048 + 1024 + 512 steps per half, over two tiles
+    (_pot(PARAMS_COMPLEX), GridSpec(80.0, 201))],
+    ids=["(1, 5)", "(2, 6.75)", "(12, 6) partner (-, -)", "(1, 5) at L = 80"])
+def test_mirrored_propagator_matches_both_halves(monkeypatch, potential, grid):
     ks = np.linspace(0.5, 2.5, 9)
     halves = _halves_spy(monkeypatch)
     mirrored = jost_solutions(potential, ks, grid)
@@ -607,10 +616,117 @@ def test_mirrored_propagator_matches_both_halves(monkeypatch, potential):
         assert (np.abs(got - ref).max(axis=1) <= 1e-13 * np.abs(ref).max(axis=1)).all()
 
 
+def test_each_rung_of_a_pass_is_mirrored_by_its_own_samples(monkeypatch, caplog):
+    # a pass whose middle rung's samples fail the PT test integrates both
+    # halves of that rung, and its other rungs keep their mirrored
+    # propagators, each bit for bit as in a pass of one kind
+    pot, k2 = _pot(PARAMS_COMPLEX), np.array([0.8, 1.7]) ** 2
+    counts = (512, 256, 128)
+    props, mirrored = verify_module._propagators(pot, 20.0, counts, 3.0, k2)
+    assert mirrored == [True, True, True]
+    pt_symmetric = verify_module._pt_symmetric
+    monkeypatch.setattr(verify_module, "_pt_symmetric",
+                        lambda v: len(v) != 4 * 256 and pt_symmetric(v))
+    mixed, mirrored = verify_module._propagators(pot, 20.0, counts, 3.0, k2)
+    assert mirrored == [True, False, True]
+    with caplog.at_level(logging.DEBUG, logger="scarf_spectra"):
+        jost_solutions(pot, 1.0, GridSpec(20.0, 201))
+    assert caplog.records[0].args[2] == "mixed"
+    monkeypatch.setattr(verify_module, "_pt_symmetric", lambda v: False)
+    both, mirrored = verify_module._propagators(pot, 20.0, counts, 3.0, k2)
+    assert mirrored == [False, False, False]
+    assert np.array_equal(mixed[[0, 2]], props[[0, 2]])
+    assert np.array_equal(mixed[1], both[1])
+    assert np.abs(mixed[1] - props[1]).max() <= 1e-13 * np.abs(props[1]).max()
+
+
 def test_jost_solutions_integrates_both_halves_of_a_non_pt_potential(monkeypatch):
     halves = _halves_spy(monkeypatch)
     jost_solutions(_gaussian_well, np.array([1.0, 2.0]), GridSpec(20.0, 201))
     assert set(halves) == {2}
+
+
+def _counted(potential, calls):
+    """V that appends the size of each sample it is asked for to ``calls``."""
+    def counted(x):
+        calls.append(np.size(x))
+        return potential(x)
+    return counted
+
+
+def test_jost_solutions_takes_the_first_three_rungs_in_one_pass(monkeypatch, caplog):
+    # no momentum can leave before the third rung, so one pass takes the first
+    # three: besides the probe one sample of V, and for a batch within one
+    # tile one call of _step_exponentials; each later rung is a pass of its
+    # own, with one more sample of V
+    passes, steps = [], []
+    propagators = verify_module._propagators
+    step_exponentials = verify_module._step_exponentials
+
+    def spy_propagators(potential, L, counts, alpha, k2):
+        passes.append(counts)
+        return propagators(potential, L, counts, alpha, k2)
+
+    def spy_step_exponentials(w1, w2, h):
+        steps.append(w1.shape)
+        return step_exponentials(w1, w2, h)
+    monkeypatch.setattr(verify_module, "_propagators", spy_propagators)
+    monkeypatch.setattr(verify_module, "_step_exponentials", spy_step_exponentials)
+    grid = GridSpec(20.0, 201)
+    calls = []
+    with caplog.at_level(logging.DEBUG, logger="scarf_spectra"):
+        jost_solutions(_counted(_pot(CouplingParams(2.0, 6.75)), calls),
+                       np.array([1.0, 1.05, 1.1]), grid)
+    # the batch leaves at 512 steps per half, the third rung
+    assert {r.args[1] for r in caplog.records} == {1024}
+    assert calls == [verify_module._PROBE_POINTS, 4 * (512 + 256 + 128)]
+    assert passes == [(512, 256, 128)] and steps == [(3, 1, 896)]
+    passes.clear()
+    caplog.clear()
+    calls = []
+    with caplog.at_level(logging.DEBUG, logger="scarf_spectra"):
+        jost_solutions(_counted(_partner(CouplingParams(100.0, 1.0), (-1, -1)), calls), 1.0,
+                       grid)
+    # this near-pole partner leaves at 2048 steps per half, two rungs later
+    (record,) = caplog.records
+    later = int(math.log2(record.args[1] // 1024))
+    assert later == 2
+    assert len(calls) == 2 + later
+    assert passes == [(512, 256, 128)] + [(1024 << j,) for j in range(later)]
+
+
+def _tree(m):
+    """M[n-1] ... M[1] M[0] along the last axis of the matrices ``m``, n a
+    power of two, by plain pairwise tree reduction."""
+    while m.shape[-1] > 1:
+        m = verify_module._mul(m[..., 1::2], m[..., 0::2])
+    return m[..., 0]
+
+
+@pytest.mark.parametrize("sizes", [(512, 256, 128), (4, 2, 1), (4096,)])
+def test_segmented_tree_matches_each_segment_alone(sizes):
+    # the step exponentials of (1, 5) at k = 0.7 and 1.3 on equal steps of [0, 20]
+    n = sum(sizes)
+    h = np.full((1, n), 20.0 / n)
+    mid = (np.arange(n) + 0.5) * (20.0 / n)
+    nodes = mid[:, None] + (20.0 / n) * np.array([-1.0, 1.0]) * verify_module._GAUSS_OFFSET
+    v = potential_value(PARAMS_COMPLEX, nodes)
+    w = np.array([0.7, 1.3])[:, None, None] ** 2
+    m = verify_module._step_exponentials(v[None, :, 0] - w, v[None, :, 1] - w, h)
+    products = verify_module._product(m, sizes)
+    assert len(products) == len(sizes)
+    start = 0
+    for size, got in zip(sizes, products):
+        segment = m[..., start:start + size]
+        (alone,) = verify_module._product(segment, (size,))
+        assert np.array_equal(got, alone) and np.array_equal(got, _tree(segment)), size
+        start += size
+    if sizes == (4096,):
+        # _propagators multiplies the two tiles of 2048 steps in order, which
+        # gives the bits of the one tree
+        (lo,), (hi,) = (verify_module._product(m[..., j:j + 2048], (2048,))
+                        for j in (0, 2048))
+        assert np.array_equal(products[0], verify_module._mul(hi, lo))
 
 
 def test_jost_solutions_unreachable_tolerance_raises():
