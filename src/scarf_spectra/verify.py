@@ -535,9 +535,12 @@ def jost_solutions(potential: Callable, k, grid: GridSpec):
     while not steps.all():
         on = np.flatnonzero(steps == 0)
         props, mirrored = _propagators(potential, L, tuple(rungs[::-1]), alpha, k2[on])
-        for n, rung, mirror in zip(rungs, props[::-1], mirrored[::-1]):
+        # one sweep for the momenta of every rung of the pass, largest rung first
+        r = len(rungs)
+        sweeps = _sweep(props.swapaxes(0, 1).reshape(4, -1, 2), np.tile(ks[on], r),
+                        np.tile(phase[on], r)).reshape(r, len(on), 4, 3)
+        for n, fine, mirror in zip(rungs, sweeps[::-1], mirrored[::-1]):
             halves[on] |= 1 if mirror else 2
-            fine = _sweep(rung, ks[on], phase[on])
             if not np.isfinite(fine).all():
                 i = on[~np.isfinite(fine).all(axis=(1, 2))][0]
                 raise ConvergenceError(f"Jost integration at k = {ks[i]:.6g} is not finite")
