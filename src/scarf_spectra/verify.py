@@ -26,9 +26,9 @@ power of two n >= 4L, whatever k (the Magnus error does not grow with k;
 Iserles, BIT 42 (2002) 561), and one sample of V per pass serves both half
 boxes and every momentum in it.  No momentum can leave before the third
 rung, so the entry pass covers the first three rungs, n, 2n and 4n, and
-each later pass one rung.  When a rung's samples are exactly PT-symmetric
-(the eigen-solve's test) only the right half box is integrated and, k^2
-being real, the left propagator is its mirror image.  Tiles of at most
+each later pass one rung.  Where V's samples at a rung's nodes are exactly
+PT-symmetric (the eigen-solve's test) only the right half box is needed:
+k^2 being real, the left propagator is its mirror image.  Tiles of at most
 ``_BLOCK`` step matrices have a step count set by the pass's rungs alone,
 so a momentum's result does not depend on its batch.  Each momentum leaves
 the ladder once the error estimate of its latest Richardson extrapolation
