@@ -19,12 +19,14 @@ Gauss nodes each (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151), whose
 2x2 exponentials have a closed form, multiplied by tree reduction.  The n
 steps of [0, L] are graded, x = L sinh(alpha t) / sinh(alpha) at t = j / n,
 short round x = 0 and long in the e^{-|x|} tail, and those of [-L, 0] are
-their mirror image; alpha comes once per call from the largest |V| on a
-probe of V (``_mesh_alpha``).  A float momentum is a batch of one: the
-momenta of a batch share one ladder of step counts, doubling from the first
-power of two n >= 4L, whatever k (the Magnus error does not grow with k;
-Iserles, BIT 42 (2002) 561), and one sample of V per pass serves both half
-boxes and every momentum in it.  No momentum can leave before the third
+their mirror image; alpha comes once per mesh from the largest |V| on a
+probe of V (``_mesh_alpha``).  The mesh (``_Mesh``) holds what does not
+depend on k, alpha and each pass's samples of V; a call builds its own, and
+the calls of one |T| peak search share one.  A float momentum is a batch of
+one: the momenta of a batch share one ladder of step counts, doubling from
+the first power of two n >= 4L, whatever k (the Magnus error does not grow
+with k; Iserles, BIT 42 (2002) 561), and one sample of V per pass serves
+both half boxes and every momentum in it.  No momentum can leave before the third
 rung, so the entry pass covers the first three rungs, n, 2n and 4n, and
 each later pass one rung.  Where V's samples at a rung's nodes are exactly
 PT-symmetric (the eigen-solve's test) only the right half box is needed:
@@ -34,7 +36,7 @@ so a momentum's result does not depend on its batch.  Each momentum leaves
 the ladder once the error estimate of its latest Richardson extrapolation
 meets the fixed tolerance ``_JOST_TOL``.  The |T| peak search samples a
 momentum window in one batched call, then bisects round the largest |T|,
-both midpoints in one batched call per step.
+both midpoints in one batched call per step, all on one mesh of V.
 ``residual`` applies the eighth-order central finite-difference Laplacian on a
 uniform grid.  The module needs numpy only.
 """
@@ -43,8 +45,10 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -341,15 +345,26 @@ def _product(m, sizes):
         sizes = [s // 2 for s in sizes]
 
 
-def _propagators(potential: Callable, L: float, counts, alpha: float, k2):
-    """Magnus propagators across [-L, 0] and [0, L], n graded steps each, for
-    each step count n of ``counts`` (powers of two, largest first) and each
-    of the real squared momenta ``k2``, from one sample of V at the 4n Gauss
-    nodes of every count.  Returns (props, mirrored): props holds the entries
-    a, b, c, d of each [[a, b], [c, d]] in an array of shape
-    (len(counts), 4, len(k2), 2), [-L, 0] then [0, L] on the last axis, and
-    mirrored says for each count whether its propagator of [-L, 0] was
-    mirrored.
+class _Layout(NamedTuple):
+    """The k-independent half of a pass of ``_propagators``: its step counts,
+    V's samples at their Gauss nodes and the step lengths, of shape
+    (halves, steps, 2) and (halves, steps), whether each count was
+    mirrored, and the tile plan: b steps and c momenta a tile, and for each
+    tile its first step, the counts in it and their numbers of steps there."""
+
+    counts: tuple
+    v: np.ndarray
+    h: np.ndarray
+    mirrored: list
+    b: int
+    c: int
+    tiles: list
+
+
+def _layout(potential: Callable, L: float, counts, alpha: float) -> _Layout:
+    """The ``_Layout`` of a pass over [-L, 0] and [0, L], n graded steps
+    each, for each step count n of ``counts`` (powers of two, largest
+    first), from one sample of V at the 4n Gauss nodes of every count.
 
     The step edges of [0, L] are x = L sinh(alpha t) / sinh(alpha) at
     t = 0, 1/n, ..., 1 (``alpha`` > 0), short round x = 0 and about
@@ -357,23 +372,12 @@ def _propagators(potential: Callable, L: float, counts, alpha: float, k2):
     nodes at its own midpoint -+ ``_GAUSS_OFFSET`` times its own length.  The
     nodes of [-L, 0] are the exact negatives of those of [0, L], so each
     count's ascending node array satisfies x[::-1] == -x, and the steps of
-    [-L, 0] are those of [0, L] in reverse order.  When a count's samples
-    are exactly PT-symmetric (``_pt_symmetric``) its propagator of [0, L]
-    alone is needed: for real k^2 the step of [-L, 0] at -x is the conjugate
-    of the step at x with its two nodes swapped, conj(S M^-1 S) with
-    S = diag(1, -1), and since the two-node Magnus step is time-symmetric
-    this holds for the discrete propagator too, so U = [[a, b], [c, d]] of
-    [0, L] gives conj([[d, b], [c, a]]) for [-L, 0].  Only [0, L] is
-    multiplied when every count's samples pass; otherwise both halves are.
-
-    The counts' steps are laid end to end, largest first, and multiplied in
-    tiles of c momenta, the halves integrated and b steps,
+    [-L, 0] are those of [0, L] in reverse order.  A count is mirrored when
+    its samples are exactly PT-symmetric (``_pt_symmetric``); the steps of
+    [0, L] alone are kept when every count is, otherwise those of both
+    halves.  The counts' steps are laid end to end, largest first, in tiles
+    of c momenta, the halves kept and b steps,
     c * halves * b <= ``_BLOCK`` matrices, b = min(sum(counts), ``_BLOCK`` / 2).
-    A count of b steps or more fills whole tiles, whose products are
-    multiplied in order; a shorter one lies inside one tile, which one
-    segmented tree (``_product``) reduces.  So each count's product is formed
-    as in a pass of that count alone, whatever the batch and whatever counts
-    share the pass.
     """
     top = counts[0]
     # the edges of n steps are every (top / n)-th edge of top steps, bit for
@@ -399,12 +403,36 @@ def _propagators(potential: Callable, L: float, counts, alpha: float, k2):
                   h))[one:]                     # half, step
     owner = np.repeat(np.arange(len(counts)), counts)  # the count of each step
     b = min(len(owner), _BLOCK // 2)
-    c = _BLOCK // (len(v) * b)
     # the counts in each tile and their numbers of steps there
     tiles = []
     for j in range(0, len(owner), b):
         sizes = np.bincount(owner[j:j + b])
         tiles.append((j, np.flatnonzero(sizes), sizes[sizes > 0].tolist()))
+    return _Layout(counts, v, h, mirrored, b, _BLOCK // (len(v) * b), tiles)
+
+
+def _propagators(layout: _Layout, k2) -> np.ndarray:
+    """Magnus propagators across [-L, 0] and [0, L] for each step count of
+    ``layout`` (``_layout``) and each of the real squared momenta ``k2``:
+    the entries a, b, c, d of each [[a, b], [c, d]] in an array of shape
+    (len(counts), 4, len(k2), 2), [-L, 0] then [0, L] on the last axis.
+
+    Where a count is mirrored its propagator of [0, L] alone is needed: for
+    real k^2 the step of [-L, 0] at -x is the conjugate of the step at x
+    with its two nodes swapped, conj(S M^-1 S) with S = diag(1, -1), and
+    since the two-node Magnus step is time-symmetric this holds for the
+    discrete propagator too, so U = [[a, b], [c, d]] of [0, L] gives
+    conj([[d, b], [c, a]]) for [-L, 0].  Only [0, L] is multiplied when
+    every count is mirrored; otherwise both halves are.
+
+    The step matrices are multiplied tile by tile.  A count of b steps or
+    more fills whole tiles, whose products are multiplied in order; a
+    shorter one lies inside one tile, which one segmented tree
+    (``_product``) reduces.  So each count's product is formed as in a pass
+    of that count alone, whatever the batch and whatever counts share the
+    pass.
+    """
+    counts, v, h, mirrored, b, c, tiles = layout
     props = np.empty((len(counts), 2, 2, len(k2), len(v)), dtype=complex)
     for i in range(0, len(k2), c):
         w = k2[i:i + c, None, None]
@@ -420,7 +448,45 @@ def _propagators(potential: Callable, L: float, counts, alpha: float, k2):
     # [-L, 0]: conj([[d, b], [c, a]]) of [0, L] where mirrored
     left = np.where(np.reshape(mirrored, (-1, 1, 1, 1)),
                     props[:, [3, 1, 2, 0], :, -1:].conj(), props[..., :1])
-    return np.concatenate((left, props[..., -1:]), axis=-1), mirrored
+    return np.concatenate((left, props[..., -1:]), axis=-1)
+
+
+class _Mesh:
+    """The k-independent half of the Jost kernel for one potential V on
+    [-L, L], each part built on first use: the mesh ``alpha`` from one
+    probe of V, the ``entry`` rung, and the ``_Layout`` of each tuple of
+    step counts a pass asks ``layout`` for.  Calling the mesh calls V and
+    counts the ``calls`` and ``samples`` taken, its own included.  The calls
+    of ``jost_solutions`` given one mesh share all of it, so V is sampled
+    once per distinct pass, not once per call.  It keeps V's samples as long
+    as it lives, so it should not outlive the calls on one V that need them
+    (``_peak_in_window`` drops its mesh when a scan point is done)."""
+
+    def __init__(self, potential: Callable, half_width: float):
+        self.potential, self.half_width = potential, half_width
+        # the first power of two n >= 4 L steps per half
+        self.entry = 1 << (math.ceil(4.0 * half_width) - 1).bit_length()
+        self.calls = self.samples = 0
+        self._layouts = {}
+
+    def __call__(self, x):
+        self.calls += 1
+        self.samples += np.size(x)
+        return self.potential(x)
+
+    @cached_property
+    def alpha(self) -> float:
+        """``_mesh_alpha`` of max|V| over ``_PROBE_POINTS`` equally spaced
+        points of [-L, L]."""
+        probe = np.linspace(-self.half_width, self.half_width, _PROBE_POINTS)
+        v = np.asarray(self(probe), dtype=complex)
+        check_finite("potential", v, probe)
+        return _mesh_alpha(float(np.abs(v).max()))
+
+    def layout(self, counts: tuple) -> _Layout:
+        if counts not in self._layouts:
+            self._layouts[counts] = _layout(self, self.half_width, counts, self.alpha)
+        return self._layouts[counts]
 
 
 def _sweep(props, k, phase) -> np.ndarray:
@@ -451,8 +517,8 @@ def jost_solutions(potential: Callable, k, grid: GridSpec):
 
     Each half of [-L, L] is crossed by n graded fourth-order Magnus steps,
     with edges x = L sinh(alpha t) / sinh(alpha), t = 0, 1/n, ..., 1, on
-    [0, L] and their negatives on [-L, 0] (``_propagators``).  alpha is set
-    once per call from max|V| over ``_PROBE_POINTS`` = 801 equally spaced
+    [0, L] and their negatives on [-L, 0] (``_layout``).  alpha is set
+    once per mesh from max|V| over ``_PROBE_POINTS`` = 801 equally spaced
     samples of [-L, L] (one more call of V, shared by the batch): the root
     of sinh(alpha) / alpha = 2.5 sqrt(max(1, max|V|)) (``_mesh_alpha``),
     3.3 to 4.2 for the Scarf II pairs that the transmission-scan benchmark
@@ -491,7 +557,11 @@ def jost_solutions(potential: Callable, k, grid: GridSpec):
     besides V's samples and their nodes no temporary holds more than
     ``_BLOCK`` entries; each rung's product is formed as in a pass of its
     own, and alpha and the entry rung depend on V and L alone, so a
-    momentum's arithmetic does not depend on the batch.  ``potential`` is
+    momentum's arithmetic does not depend on the batch.  What does not
+    depend on k (alpha, the entry rung, and each pass's samples of V, PT
+    tests and tile plan) is held by a mesh of V and L (``_Mesh``): the call
+    builds its own, unless ``potential`` is a mesh for this L already, as in
+    ``_peak_in_window``, whose calls share one.  ``potential`` is
     called with arrays only; a sample that is not finite raises
     ``DomainError`` naming its x.  Every propagator has determinant 1, so
     the Wronskian fp*dfm - dfp*fm is the same at the three points up to
@@ -515,11 +585,9 @@ def jost_solutions(potential: Callable, k, grid: GridSpec):
 
     k2 = ks * ks
     phase = np.exp(1j * ks * L)
-    probe = np.linspace(-L, L, _PROBE_POINTS)
-    v = np.asarray(potential(probe), dtype=complex)
-    check_finite("potential", v, probe)
-    alpha = _mesh_alpha(float(np.abs(v).max()))
-    entry = 1 << (math.ceil(4.0 * L) - 1).bit_length()     # 2^j >= 4 L steps per half
+    mesh = (potential if isinstance(potential, _Mesh) and potential.half_width == L
+            else _Mesh(potential, L))
+    entry = mesh.entry
     # f at a momentum's last rung and its extrapolation: NaN before the entry
     # rung, so that the first two rungs can meet no tolerance
     coarse = np.full((len(ks), 4, 3), np.nan, dtype=complex)
@@ -534,12 +602,13 @@ def jost_solutions(potential: Callable, k, grid: GridSpec):
     rungs = [n for n in (entry, 2 * entry, 4 * entry) if n == entry or 2 * n <= _MAX_STEPS]
     while not steps.all():
         on = np.flatnonzero(steps == 0)
-        props, mirrored = _propagators(potential, L, tuple(rungs[::-1]), alpha, k2[on])
+        layout = mesh.layout(tuple(rungs[::-1]))
+        props = _propagators(layout, k2[on])
         # one sweep for the momenta of every rung of the pass, largest rung first
         r = len(rungs)
         sweeps = _sweep(props.swapaxes(0, 1).reshape(4, -1, 2), np.tile(ks[on], r),
                         np.tile(phase[on], r)).reshape(r, len(on), 4, 3)
-        for n, fine, mirror in zip(rungs, sweeps[::-1], mirrored[::-1]):
+        for n, fine, mirror in zip(rungs, sweeps[::-1], layout.mirrored[::-1]):
             halves[on] |= 1 if mirror else 2
             if not np.isfinite(fine).all():
                 i = on[~np.isfinite(fine).all(axis=(1, 2))][0]
@@ -575,7 +644,7 @@ def jost_solutions(potential: Callable, k, grid: GridSpec):
                        "%.3g, Wronskian drift %.3g, mesh alpha %.6g, entry at %d "
                        "steps", ks[i], steps[i],
                        ("mirrored", "both halves", "mixed")[halves[i] - 1],
-                       estimate[i], drift[i], alpha, 2 * entry)
+                       estimate[i], drift[i], mesh.alpha, 2 * entry)
     if np.ndim(k) == 0:
         return fp[0], dfp[0], fm[0], dfm[0]
     return fp, dfp, fm, dfm
@@ -637,34 +706,42 @@ class ScanPoint:
 
 def _peak_in_window(potential: Callable, k_window, grid: GridSpec,
                     coarse_steps: int, xtol: float):
-    """(k, at_edge, result): the sampled momentum of the largest |T| in
-    ``k_window``, whether it is an end of the window, and the
-    ``ScatteringResult`` integrated there.
+    """(k, at_edge, result, trace): the sampled momentum of the largest |T|
+    in ``k_window``, whether it is an end of the window, the
+    ``ScatteringResult`` integrated there, and (scattering calls, momenta
+    integrated, calls of V, samples of V, final bracket width).
 
     One batched ``scattering`` call samples ``coarse_steps`` equally spaced
     momenta.  Then each step takes the sample of largest |T| and integrates
     the midpoints of its one or two neighbouring intervals in one batched
     call, until that bracket spans at most xtol (|lo| + |hi|) or no midpoint
     lies strictly inside its interval.  Each momentum is integrated once.
+    The calls share one ``_Mesh`` of V, passed to ``scattering`` as the
+    potential: V is probed once and sampled once per distinct pass of the
+    Jost ladder, and the mesh is dropped when the call returns.
     """
     k_lo, k_hi = float(k_window[0]), float(k_window[1])
     if not (0.0 < k_lo < k_hi):
         raise DomainError(f"invalid momentum window ({k_lo}, {k_hi})")
-    if coarse_steps < 5:
-        raise DomainError(f"coarse_steps must be >= 5, got {coarse_steps}")
+    if not isinstance(coarse_steps, numbers.Integral) or coarse_steps < 5:
+        raise DomainError(f"coarse_steps must be an integer >= 5, got {coarse_steps!r}")
     if not (math.isfinite(xtol) and xtol > 0.0):
         raise DomainError(f"xtol must be finite and positive, got {xtol}")
 
-    found = scattering(potential, np.linspace(k_lo, k_hi, coarse_steps), grid)
+    mesh = _Mesh(potential, grid.half_width)
+    found = scattering(mesh, np.linspace(k_lo, k_hi, coarse_steps), grid)
+    calls = 1
     while True:
         i = max(range(len(found)), key=lambda j: abs(found[j].transmission))
         k = found[i].k
         lo, hi = found[max(i - 1, 0)].k, found[min(i + 1, len(found) - 1)].k
         mids = [m for a, b in ((lo, k), (k, hi)) if a < (m := 0.5 * (a + b)) < b]
         if hi - lo <= xtol * (abs(lo) + abs(hi)) or not mids:
-            return k, k in (k_lo, k_hi), found[i]
-        found = sorted(found + scattering(potential, np.array(mids), grid),
+            return (k, k in (k_lo, k_hi), found[i],
+                    (calls, len(found), mesh.calls, mesh.samples, hi - lo))
+        found = sorted(found + scattering(mesh, np.array(mids), grid),
                        key=lambda sc: sc.k)
+        calls += 1
 
 
 def singularity_scan(params_curve: Sequence, k_window, grid: GridSpec,
@@ -673,22 +750,32 @@ def singularity_scan(params_curve: Sequence, k_window, grid: GridSpec,
 
     ``params_curve`` is a sequence of CouplingParams, which the potential
     closure passes to ``potential_value``.  Each point samples ``coarse_steps``
-    equally spaced momenta in one batched ``scattering`` call, then bisects
-    round the sample of largest |T|, both midpoints of its neighbouring
-    intervals in one batched call per step, until that bracket spans at most
-    ``xtol`` (|lo| + |hi|); ``xtol`` must be finite and positive.  The
-    ``ScanPoint`` takes its values from the call that integrated ``k_peak``.
+    (an integer >= 5) equally spaced momenta in one batched ``scattering``
+    call, then bisects round the sample of largest |T|, both midpoints of its
+    neighbouring intervals in one batched call per step, until that bracket
+    spans at most ``xtol`` (|lo| + |hi|); ``xtol`` must be finite and
+    positive.  A point's calls share one mesh of its V (``_peak_in_window``):
+    one probe of V and one sample per distinct pass of the Jost ladder, 2
+    calls of V in all at the benchmark's points.  The ``ScanPoint`` takes its
+    values from the call that integrated ``k_peak``.
     On the singularity locus the peak is a near-pole of |T|
     with a collapsing Wronskian; off it, a finite bump.  When |T| is largest
     at an end of the window, ``k_peak`` is exactly that end, not a maximum,
-    and ``at_window_edge`` is True.
+    and ``at_window_edge`` is True.  Each point logs one DEBUG record on the
+    ``scarf_spectra`` logger with its couplings, the number of
+    ``scattering`` calls, the momenta integrated, the calls and samples of
+    V, the final bracket width and ``at_window_edge``.
     """
     from .params import potential_value
 
     out = []
     for pr in params_curve:
         potential = lambda x, _pr=pr: potential_value(_pr, x)
-        k_peak, at_edge, sc = _peak_in_window(potential, k_window, grid, coarse_steps, xtol)
+        k_peak, at_edge, sc, trace = _peak_in_window(potential, k_window, grid,
+                                                     coarse_steps, xtol)
+        _log.debug("singularity_scan: (%g, %g), %d scattering calls, %d momenta, "
+                   "%d calls of V for %d samples, bracket width %.3g, at window "
+                   "edge %s", pr.v1, pr.v2, *trace, at_edge)
         out.append(ScanPoint(params=pr, k_peak=k_peak,
                              peak_height=abs(sc.transmission),
                              wronskian_ratio=sc.wronskian_ratio,

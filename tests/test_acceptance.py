@@ -134,8 +134,8 @@ def test_criterion_08_partner_singularity_preserved():
     branch = solve_branch(d, 1, 1)
     rep = partner_singularity(branch, d)
     vext = lambda x: extended_potential(branch, params, x)
-    k_peak, _, _ = _peak_in_window(vext, (0.9, 1.3), GridSpec(20.0, 1001),
-                                   coarse_steps=31, xtol=1e-6)
+    k_peak, *_ = _peak_in_window(vext, (0.9, 1.3), GridSpec(20.0, 1001),
+                                 coarse_steps=31, xtol=1e-6)
     ok = (rep.is_singular
           and abs(k_peak ** 2 - 1.125) < 1e-3
           and abs(rep.vprime_sum - 3.75) < 1e-9)

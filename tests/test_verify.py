@@ -1,11 +1,13 @@
 import logging
 import math
+import weakref
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import scarf_spectra.params as params_module
 import scarf_spectra.verify as verify_module
 
 from scarf_spectra import (BRANCH_SIGNS, ConvergenceError, CouplingParams,
@@ -468,9 +470,9 @@ def test_batched_momenta_match_single_calls_bit_for_bit(monkeypatch, caplog, pot
     propagators = verify_module._propagators
     step_exponentials = verify_module._step_exponentials
 
-    def spy_propagators(potential, L, counts, alpha, k2):
-        passes.append((counts, len(k2)))
-        return propagators(potential, L, counts, alpha, k2)
+    def spy_propagators(layout, k2):
+        passes.append((layout.counts, len(k2)))
+        return propagators(layout, k2)
 
     def spy_step_exponentials(w1, w2, h):
         c = (np.sqrt(3.0) / 12.0) * h * h * (w1 - w2)
@@ -616,24 +618,31 @@ def test_mirrored_propagator_matches_both_halves(monkeypatch, potential, grid):
         assert (np.abs(got - ref).max(axis=1) <= 1e-13 * np.abs(ref).max(axis=1)).all()
 
 
+def _pass(potential, counts, k2):
+    """The propagators of a pass of ``counts`` on [-20, 20] with alpha = 3,
+    laid out afresh, and whether each count was mirrored."""
+    layout = verify_module._layout(potential, 20.0, counts, 3.0)
+    return verify_module._propagators(layout, k2), layout.mirrored
+
+
 def test_each_rung_of_a_pass_is_mirrored_by_its_own_samples(monkeypatch, caplog):
     # a pass whose middle rung's samples fail the PT test integrates both
     # halves of that rung, and its other rungs keep their mirrored
     # propagators, each bit for bit as in a pass of one kind
     pot, k2 = _pot(PARAMS_COMPLEX), np.array([0.8, 1.7]) ** 2
     counts = (512, 256, 128)
-    props, mirrored = verify_module._propagators(pot, 20.0, counts, 3.0, k2)
+    props, mirrored = _pass(pot, counts, k2)
     assert mirrored == [True, True, True]
     pt_symmetric = verify_module._pt_symmetric
     monkeypatch.setattr(verify_module, "_pt_symmetric",
                         lambda v: len(v) != 4 * 256 and pt_symmetric(v))
-    mixed, mirrored = verify_module._propagators(pot, 20.0, counts, 3.0, k2)
+    mixed, mirrored = _pass(pot, counts, k2)
     assert mirrored == [True, False, True]
     with caplog.at_level(logging.DEBUG, logger="scarf_spectra"):
         jost_solutions(pot, 1.0, GridSpec(20.0, 201))
     assert caplog.records[0].args[2] == "mixed"
     monkeypatch.setattr(verify_module, "_pt_symmetric", lambda v: False)
-    both, mirrored = verify_module._propagators(pot, 20.0, counts, 3.0, k2)
+    both, mirrored = _pass(pot, counts, k2)
     assert mirrored == [False, False, False]
     assert np.array_equal(mixed[[0, 2]], props[[0, 2]])
     assert np.array_equal(mixed[1], both[1])
@@ -663,9 +672,9 @@ def test_jost_solutions_takes_the_first_three_rungs_in_one_pass(monkeypatch, cap
     propagators = verify_module._propagators
     step_exponentials = verify_module._step_exponentials
 
-    def spy_propagators(potential, L, counts, alpha, k2):
-        passes.append(counts)
-        return propagators(potential, L, counts, alpha, k2)
+    def spy_propagators(layout, k2):
+        passes.append(layout.counts)
+        return propagators(layout, k2)
 
     def spy_step_exponentials(w1, w2, h):
         steps.append(w1.shape)
@@ -828,6 +837,87 @@ def test_singularity_scan_integrates_each_momentum_once(monkeypatch):
     assert pt.wronskian_ratio == fresh.wronskian_ratio
 
 
+def test_singularity_scan_debug_record(monkeypatch, caplog):
+    # one record per point; the point's calls share one mesh, so V is called
+    # twice: the probe and the entry pass of 512 + 256 + 128 steps per half
+    calls = []
+    single = verify_module.scattering
+
+    def counting(potential, k, grid):
+        calls.append(len(k))
+        return single(potential, k, grid)
+    monkeypatch.setattr(verify_module, "scattering", counting)
+    with caplog.at_level(logging.DEBUG, logger="scarf_spectra"):
+        (pt,) = singularity_scan([CouplingParams(2.0, 6.75)], (1.04, 1.08),
+                                 GridSpec(20.0, 1001), coarse_steps=9)
+    (record,) = [r for r in caplog.records if r.msg.startswith("singularity_scan")]
+    assert record.levelno == logging.DEBUG
+    v1, v2, scans, momenta, v_calls, samples, width, at_edge = record.args
+    assert (v1, v2) == (2.0, 6.75)
+    assert scans == len(calls) and momenta == sum(calls)
+    # each momentum integrated once, with one record of its own
+    assert momenta == len([r for r in caplog.records if r.msg.startswith("jost_solutions")])
+    assert v_calls == 2 and samples == verify_module._PROBE_POINTS + 4 * (512 + 256 + 128)
+    assert 0.0 < width <= 1e-6 * 2.16
+    assert at_edge is pt.at_window_edge is False
+
+
+@pytest.mark.parametrize("potential, window, halves, later", [
+    (_pot(CouplingParams(2.0, 6.75)), (1.04, 1.08), "mirrored", 0),
+    (_nudged(_pot(PARAMS_COMPLEX)), (0.9, 1.3), "both halves", 0),
+    # leaves at 2048 steps per half, two rungs after the entry pass, so the
+    # samples of those rungs serve every call that reaches them
+    (_partner(CouplingParams(100.0, 1.0), (-1, -1)), (0.9, 1.3), "mirrored", 2)],
+    ids=["(2, 6.75)", "(1, 5) nudged", "(100, 1) partner (-, -)"])
+def test_every_call_of_a_scan_point_matches_a_fresh_call(monkeypatch, caplog, potential,
+                                                          window, halves, later):
+    grid = GridSpec(20.0, 1001)
+    found = []
+    single = verify_module.scattering
+
+    def recording(potential, k, grid):
+        out = single(potential, k, grid)
+        found.extend(out)
+        return out
+    monkeypatch.setattr(verify_module, "scattering", recording)
+    calls = []
+    with caplog.at_level(logging.DEBUG, logger="scarf_spectra"):
+        verify_module._peak_in_window(_counted(potential, calls), window, grid, 9, 1e-6)
+    records = [r.args for r in caplog.records]
+    assert len(records) == len(found) > 9
+    assert {a[2] for a in records} == {halves}
+    # the last rung reached, in doublings past the entry pass's three
+    assert int(math.log2(max(a[1] // a[6] for a in records))) - 2 == later
+    assert len(calls) == 2 + later
+    for sc in found:
+        assert sc == single(potential, sc.k, grid), sc.k
+
+
+def test_a_scan_points_mesh_lives_no_longer_than_the_point(monkeypatch):
+    # successive points on different couplings each sample their own V
+    sampled = []
+    value = params_module.potential_value
+
+    def spy(params, x):
+        sampled.append(params)
+        return value(params, x)
+    monkeypatch.setattr(params_module, "potential_value", spy)
+    grid = GridSpec(20.0, 1001)
+    for pair, window in BENCHMARK_SCANS[:2]:
+        singularity_scan([CouplingParams(*pair)], window, grid, coarse_steps=9)
+    assert sampled == [CouplingParams(2.0, 6.75)] * 2 + [CouplingParams(2.2, 6.75)] * 2
+
+    # nothing keeps the potential once the point is done
+    class Potential:
+        def __call__(self, x):
+            return value(PARAMS_COMPLEX, x)
+    potential = Potential()
+    alive = weakref.ref(potential)
+    verify_module._peak_in_window(potential, (0.9, 1.3), grid, 9, 1e-6)
+    del potential
+    assert alive() is None
+
+
 def _gamma_peak(v1, v2, lo, hi):
     """(k, |T|) of the largest Gamma-form |T| in [lo, hi], by ternary search
     (the windows below hold one maximum)."""
@@ -869,6 +959,10 @@ def test_singularity_scan_validation():
         singularity_scan([PARAMS_COMPLEX], (0.0, 1.0), grid)
     with pytest.raises(DomainError):
         singularity_scan([PARAMS_COMPLEX], (0.9, 1.3), grid, coarse_steps=3)
+    # numpy's linspace takes no float count: its TypeError must not leak
+    for steps in (9.5, 9.0, "9"):
+        with pytest.raises(DomainError, match="coarse_steps"):
+            singularity_scan([PARAMS_COMPLEX], (0.9, 1.3), grid, coarse_steps=steps)
     for xtol in (0.0, -1.0, float("nan")):
         with pytest.raises(DomainError, match="xtol"):
             singularity_scan([PARAMS_COMPLEX], (0.9, 1.3), grid, xtol=xtol)
