@@ -35,8 +35,11 @@ k^2 being real, the left propagator is its mirror image.  Tiles of at most
 so a momentum's result does not depend on its batch.  Each momentum leaves
 the ladder once the error estimate of its latest Richardson extrapolation
 meets the fixed tolerance ``_JOST_TOL``.  The |T| peak search samples a
-momentum window in one batched call, then bisects round the largest |T|,
-both midpoints in one batched call per step, all on one mesh of V.
+momentum window in one batched call, then refines round the largest |T|
+with one batched call per step, all on one mesh of V: a parabolic step
+integrates the vertex of the parabola through 1/|T|^2 at the three samples
+round the peak and two momenta either side of it, and a bisection step,
+the fallback where no such vertex serves, both midpoints.
 ``residual`` applies the eighth-order central finite-difference Laplacian on a
 uniform grid.  The module needs numpy only.
 """
@@ -708,20 +711,37 @@ def _peak_in_window(potential: Callable, k_window, grid: GridSpec,
                     coarse_steps: int, xtol: float):
     """(k, at_edge, result, trace): the sampled momentum of the largest |T|
     in ``k_window``, whether it is an end of the window, the
-    ``ScatteringResult`` integrated there, and (scattering calls, momenta
-    integrated, calls of V, samples of V, final bracket width).
+    ``ScatteringResult`` integrated there, and (scattering calls, parabolic
+    steps, bisection steps, momenta integrated, calls of V, samples of V,
+    final bracket width).
 
     One batched ``scattering`` call samples ``coarse_steps`` equally spaced
-    momenta.  Then each step takes the sample of largest |T| and integrates
-    the midpoints of its one or two neighbouring intervals in one batched
-    call, until that bracket spans at most xtol (|lo| + |hi|) or no midpoint
-    lies strictly inside its interval.  Each momentum is integrated once.
-    The calls share one ``_Mesh`` of V, passed to ``scattering`` as the
-    potential: V is probed once and sampled once per distinct pass of the
-    Jost ladder, and the mesh is dropped when the call returns.
+    momenta.  Then each step takes the sample k of largest |T| and its
+    neighbours lo and hi, and integrates new momenta strictly inside
+    (lo, hi) in one batched call, until that bracket spans at most
+    xtol (|lo| + |hi|) or no new momentum lies strictly inside it.  Near a
+    pole k0 of T, 1/|T|^2 = |k - k0|^2 (smooth, positive) is to leading
+    order a parabola, so a parabolic step integrates the vertex v of the
+    parabola through 1/|T|^2 at lo, k and hi, and v -+ d, with
+    d = (hi - lo) / 64 but at least xtol |v| / 2: the vertex of samples h
+    apart is off by O(h^2), well inside v -+ d, and the bracket narrows
+    about 32-fold per step (successive parabolic interpolation; R. P.
+    Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5).
+    A bisection step integrates the midpoints of (lo, k) and (k, hi)
+    instead when k is an end of the window, the parabola is not convex, v
+    is not strictly inside (lo, hi), or the bracket is wider than
+    bisection alone would have left it after as many calls.  So a
+    parabolic step that fails to halve the bracket, with no lead over
+    bisection in hand, hands the search to bisection until the bracket is
+    back within that pace: a |T| far from the parabola costs at most two
+    calls more than bisection, one for the failed step and one for the
+    first midpoints of a lopsided bracket.  Each momentum is integrated
+    once.  The calls share one ``_Mesh`` of V, passed to ``scattering`` as
+    the potential: V is probed once and sampled once per distinct pass of
+    the Jost ladder, and the mesh is dropped when the call returns.
     """
     k_lo, k_hi = float(k_window[0]), float(k_window[1])
-    if not (0.0 < k_lo < k_hi):
+    if not (0.0 < k_lo < k_hi < math.inf):
         raise DomainError(f"invalid momentum window ({k_lo}, {k_hi})")
     if not isinstance(coarse_steps, numbers.Integral) or coarse_steps < 5:
         raise DomainError(f"coarse_steps must be an integer >= 5, got {coarse_steps!r}")
@@ -730,18 +750,33 @@ def _peak_in_window(potential: Callable, k_window, grid: GridSpec,
 
     mesh = _Mesh(potential, grid.half_width)
     found = scattering(mesh, np.linspace(k_lo, k_hi, coarse_steps), grid)
-    calls = 1
+    steps = [0, 0]                      # parabolic, bisection
+    pace = None                         # the bracket bisection alone would leave
     while True:
         i = max(range(len(found)), key=lambda j: abs(found[j].transmission))
         k = found[i].k
         lo, hi = found[max(i - 1, 0)].k, found[min(i + 1, len(found) - 1)].k
-        mids = [m for a, b in ((lo, k), (k, hi)) if a < (m := 0.5 * (a + b)) < b]
-        if hi - lo <= xtol * (abs(lo) + abs(hi)) or not mids:
+        pace = hi - lo if pace is None else pace
+        new = set()
+        if 0 < i < len(found) - 1 and hi - lo <= pace:
+            # 1/|T|^2 in units of its value at k, so a tiny |T| does not overflow it
+            t = [abs(sc.transmission) for sc in found[i - 1:i + 2]]
+            y = [(t[1] / tj) ** 2 for tj in t]
+            slope = (y[1] - y[0]) / (k - lo)
+            curvature = ((y[2] - y[1]) / (hi - k) - slope) / (hi - lo)
+            if curvature > 0.0 and lo < (v := 0.5 * (lo + k - slope / curvature)) < hi:
+                d = max((hi - lo) / 64.0, 0.5 * xtol * abs(v))
+                new = {m for m in (v - d, v, v + d) if lo < m < hi and m != k}
+        bisect = not new
+        new = new or {m for a, b in ((lo, k), (k, hi)) if a < (m := 0.5 * (a + b)) < b}
+        if hi - lo <= xtol * (abs(lo) + abs(hi)) or not new:
             return (k, k in (k_lo, k_hi), found[i],
-                    (calls, len(found), mesh.calls, mesh.samples, hi - lo))
-        found = sorted(found + scattering(mesh, np.array(mids), grid),
+                    (1 + sum(steps), *steps, len(found), mesh.calls, mesh.samples,
+                     hi - lo))
+        steps[bisect] += 1
+        pace *= 0.5
+        found = sorted(found + scattering(mesh, np.array(sorted(new)), grid),
                        key=lambda sc: sc.k)
-        calls += 1
 
 
 def singularity_scan(params_curve: Sequence, k_window, grid: GridSpec,
@@ -751,10 +786,14 @@ def singularity_scan(params_curve: Sequence, k_window, grid: GridSpec,
     ``params_curve`` is a sequence of CouplingParams, which the potential
     closure passes to ``potential_value``.  Each point samples ``coarse_steps``
     (an integer >= 5) equally spaced momenta in one batched ``scattering``
-    call, then bisects round the sample of largest |T|, both midpoints of its
-    neighbouring intervals in one batched call per step, until that bracket
-    spans at most ``xtol`` (|lo| + |hi|); ``xtol`` must be finite and
-    positive.  A point's calls share one mesh of its V (``_peak_in_window``):
+    call, then refines round the sample of largest |T| with one batched call
+    per step, until the bracket of its neighbours spans at most ``xtol``
+    (|lo| + |hi|); ``xtol`` must be finite and positive.  A step integrates
+    the vertex of the parabola through 1/|T|^2 at the three samples and two
+    momenta just either side of it, or, where that parabola cannot serve,
+    bisects both neighbouring intervals (``_peak_in_window``); the
+    benchmark's points take 3 parabolic steps.  The window's ends must be
+    finite.  A point's calls share one mesh of its V (``_peak_in_window``):
     one probe of V and one sample per distinct pass of the Jost ladder, 2
     calls of V in all at the benchmark's points.  The ``ScanPoint`` takes its
     values from the call that integrated ``k_peak``.
@@ -763,8 +802,9 @@ def singularity_scan(params_curve: Sequence, k_window, grid: GridSpec,
     at an end of the window, ``k_peak`` is exactly that end, not a maximum,
     and ``at_window_edge`` is True.  Each point logs one DEBUG record on the
     ``scarf_spectra`` logger with its couplings, the number of
-    ``scattering`` calls, the momenta integrated, the calls and samples of
-    V, the final bracket width and ``at_window_edge``.
+    ``scattering`` calls, of parabolic and of bisection steps, the momenta
+    integrated, the calls and samples of V, the final bracket width and
+    ``at_window_edge``.
     """
     from .params import potential_value
 
@@ -773,9 +813,10 @@ def singularity_scan(params_curve: Sequence, k_window, grid: GridSpec,
         potential = lambda x, _pr=pr: potential_value(_pr, x)
         k_peak, at_edge, sc, trace = _peak_in_window(potential, k_window, grid,
                                                      coarse_steps, xtol)
-        _log.debug("singularity_scan: (%g, %g), %d scattering calls, %d momenta, "
-                   "%d calls of V for %d samples, bracket width %.3g, at window "
-                   "edge %s", pr.v1, pr.v2, *trace, at_edge)
+        _log.debug("singularity_scan: (%g, %g), %d scattering calls (%d parabolic "
+                   "and %d bisection steps), %d momenta, %d calls of V for %d "
+                   "samples, bracket width %.3g, at window edge %s",
+                   pr.v1, pr.v2, *trace, at_edge)
         out.append(ScanPoint(params=pr, k_peak=k_peak,
                              peak_height=abs(sc.transmission),
                              wronskian_ratio=sc.wronskian_ratio,

@@ -216,6 +216,17 @@ def test_factorization_residuals_near_pole_roundoff():
     assert max(factorization_residuals(br, params, REFERENCE_GRID.points())) < 1e-8
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP 'Known defects': partner_spectrum omits "
+                   "the level that a deleting branch adds when Re a < 1")
+def test_partner_spectrum_of_a_deleting_branch_with_a_below_one():
+    # (+, -) of (12, 6) has a = 0.38600 < 1, so it deletes no level, but 1/phi
+    # decays like e^{(a - 1)|x|} and V_ext gains the level -(a - 1)^2
+    br = solve_branch(REAL_D, 1, -1)
+    assert br.a.real == pytest.approx(0.38600, abs=1e-5)
+    levels, _ = partner_spectrum(br, REAL_D)
+    assert any(abs(lv.energy + 0.376995) < 1e-6 for lv in levels)
+
+
 # ---------------------------------------------------------------------------
 # factorizing function and added level
 # ---------------------------------------------------------------------------

@@ -814,9 +814,9 @@ def test_singularity_scan_interior_peaks_are_not_window_edges(pair, window):
 
 
 def test_singularity_scan_integrates_each_momentum_once(monkeypatch):
-    # one batched coarse pass, then one batched call of at most two midpoints
-    # per bisection step, and the peak's values taken from the call that
-    # integrated it
+    # one batched coarse pass, then one batched call per step of at most three
+    # momenta (a parabola's vertex and one momentum either side of it, or two
+    # midpoints), and the peak's values taken from the call that integrated it
     calls = []
     single = verify_module.scattering
 
@@ -828,8 +828,8 @@ def test_singularity_scan_integrates_each_momentum_once(monkeypatch):
     pair, grid = CouplingParams(2.0, 6.75), GridSpec(20.0, 1001)
     (pt,) = singularity_scan([pair], (1.04, 1.08), grid, coarse_steps=9)
     momenta = [k for ks in calls for k in ks]
-    assert len(calls[0]) == 9 and all(len(ks) <= 2 for ks in calls[1:])
-    assert len(calls) <= 16
+    assert len(calls[0]) == 9 and all(len(ks) <= 3 for ks in calls[1:])
+    assert len(calls) <= 5
     assert len(set(momenta)) == len(momenta)
     assert pt.k_peak in momenta
     fresh = single(_pot(pair), pt.k_peak, grid)
@@ -852,9 +852,11 @@ def test_singularity_scan_debug_record(monkeypatch, caplog):
                                  GridSpec(20.0, 1001), coarse_steps=9)
     (record,) = [r for r in caplog.records if r.msg.startswith("singularity_scan")]
     assert record.levelno == logging.DEBUG
-    v1, v2, scans, momenta, v_calls, samples, width, at_edge = record.args
+    v1, v2, scans, parabolic, bisection, momenta, v_calls, samples, width, at_edge = \
+        record.args
     assert (v1, v2) == (2.0, 6.75)
-    assert scans == len(calls) and momenta == sum(calls)
+    assert scans == len(calls) == 1 + parabolic + bisection and momenta == sum(calls)
+    assert (parabolic, bisection) == (3, 0)
     # each momentum integrated once, with one record of its own
     assert momenta == len([r for r in caplog.records if r.msg.startswith("jost_solutions")])
     assert v_calls == 2 and samples == verify_module._PROBE_POINTS + 4 * (512 + 256 + 128)
@@ -951,6 +953,96 @@ def test_singularity_scan_peaks_match_the_gamma_form(pair, window):
         assert pt.wronskian_ratio > 1e-3
 
 
+def _bisection_calls(window, steps, xtol):
+    """An upper bound on the calls of a search that bisects from the coarse
+    bracket 2h down to xtol (|lo| + |hi|) >= 2 xtol k_lo."""
+    h = (window[1] - window[0]) / (steps - 1)
+    return 1 + math.ceil(math.log2(h / (xtol * window[0])))
+
+
+def _kernel_peak(potential, lo, hi):
+    """The momentum of the largest |T| of ``scattering`` itself in [lo, hi]
+    (the windows below hold one maximum), by ternary search to 1e-11.  Its
+    two probes stay at least 1e-6 apart: at the flat peak of (2.2, 6.75),
+    |T| at closer momenta differs by less than the kernel's own jitter of
+    about 4e-13 relative, so below that the search compares |T| at the
+    midpoint -+ 5e-7 and keeps the half on the larger side."""
+    grid = GridSpec(20.0, 1001)
+    while hi - lo > 1e-11:
+        mid, d = 0.5 * (lo + hi), (hi - lo) / 6.0
+        ta, tb = (abs(sc.transmission) for sc in
+                  scattering(potential, np.array([mid - max(d, 5e-7),
+                                                  mid + max(d, 5e-7)]), grid))
+        cut = mid - d if d > 5e-7 else mid
+        lo, hi = (cut, hi) if ta < tb else (lo, 2.0 * mid - cut)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("pair, window", BENCHMARK_SCANS)
+def test_singularity_scan_peaks_on_the_kernels_own_maximum(pair, window):
+    # the parabolic steps converge on the vertex: k_peak is the maximum of the
+    # kernel's |T|, not merely some sample of the final xtol bracket, which
+    # would be up to 1e-6 from it
+    params = CouplingParams(*pair)
+    (pt,) = singularity_scan([params], window, GridSpec(20.0, 1001), coarse_steps=9)
+    assert abs(pt.k_peak - _kernel_peak(_pot(params), *window)) < 1e-9
+
+
+def test_singularity_scan_resolves_no_finer_than_xtol():
+    # the momenta either side of the vertex stay at least xtol |v| / 2 from
+    # it, so a loose tolerance ends on a bracket of about xtol |v|, not on
+    # one the parabola could have narrowed further at no use to the caller
+    params, xtol = CouplingParams(2.0, 6.75), 1e-4
+    k, at_edge, sc, trace = verify_module._peak_in_window(
+        _pot(params), (1.04, 1.08), GridSpec(20.0, 1001), 9, xtol)
+    assert not at_edge and 0.5 * xtol * k <= trace[-1] <= 2.0 * xtol * k
+
+
+def test_singularity_scan_on_a_flat_transmission(monkeypatch):
+    # V = 0: |T| = 1 up to roundoff, so the parabola through 1/|T|^2 is flat or
+    # noise.  The search still ends inside the window, each momentum
+    # integrated once, in no more calls than bisection
+    calls = []
+    single = verify_module.scattering
+
+    def counting(potential, k, grid):
+        calls.append(list(k))
+        return single(potential, k, grid)
+    monkeypatch.setattr(verify_module, "scattering", counting)
+    (k_lo, k_hi), steps, xtol = (0.9, 1.3), 31, 1e-6
+    k, at_edge, sc, trace = verify_module._peak_in_window(
+        _zero, (k_lo, k_hi), GridSpec(20.0, 1001), steps, xtol)
+    momenta = [m for ks in calls for m in ks]
+    assert k_lo <= k <= k_hi and at_edge is (k in (k_lo, k_hi))
+    assert abs(abs(sc.transmission) - 1.0) < 1e-9
+    assert len(set(momenta)) == len(momenta) and k in momenta
+    assert len(calls) == trace[0] <= _bisection_calls((k_lo, k_hi), steps, xtol)
+
+
+@pytest.mark.parametrize("profile", [
+    lambda x: math.exp(-x if x > 0.0 else 30.0 * x),
+    lambda x: 1.0 / (1.0 + x ** 4)], ids=["kink", "quartic top"])
+@pytest.mark.parametrize("k0", [0.958, 1.1, 1.243])
+def test_a_transmission_far_from_a_parabola_costs_few_calls(monkeypatch, profile, k0):
+    # 1/|T|^2 that is no parabola at the peak: a parabolic step fails to
+    # halve the bracket, falls behind bisection's pace, and the search then
+    # bisects, so it takes at most two calls more than bisection.  Parabolic
+    # steps regardless of that pace take up to 156 calls here.
+    calls = []
+
+    def profiled(potential, k, grid):
+        calls.append(len(k))
+        return [verify_module.ScatteringResult(float(x), complex(profile(x - k0)), 0j, 0j,
+                                               1.0) for x in k]
+    monkeypatch.setattr(verify_module, "scattering", profiled)
+    window, steps, xtol = (0.9, 1.3), 31, 1e-6
+    k, at_edge, sc, (scans, parabolic, bisection, *_) = \
+        verify_module._peak_in_window(lambda x: x, window, GridSpec(20.0, 1001), steps, xtol)
+    assert bisection > 0 and len(calls) == scans <= _bisection_calls(window, steps, xtol) + 2
+    # the quartic top is flat to roundoff within about 1e-4 of k0
+    assert not at_edge and abs(k - k0) < 5e-4
+
+
 def test_singularity_scan_validation():
     grid = GridSpec(20.0, 1001)
     with pytest.raises(DomainError):
@@ -966,8 +1058,12 @@ def test_singularity_scan_validation():
     for xtol in (0.0, -1.0, float("nan")):
         with pytest.raises(DomainError, match="xtol"):
             singularity_scan([PARAMS_COMPLEX], (0.9, 1.3), grid, xtol=xtol)
-    # a tolerance below the float spacing: the bisection stops once a midpoint
-    # is no longer strictly inside its interval
+    # an end that is not finite, before numpy's linspace warns on it
+    for window in ((0.9, math.inf), (0.9, math.nan), (math.inf, math.inf)):
+        with pytest.raises(DomainError, match="invalid momentum window"):
+            singularity_scan([PARAMS_COMPLEX], window, grid)
+    # a tolerance below the float spacing: the search stops once no new
+    # momentum lies strictly inside the bracket
     (pt,) = singularity_scan([CouplingParams(2.2, 6.75)], (1.02, 1.06), grid,
                              coarse_steps=9, xtol=1e-300)
     assert not pt.at_window_edge and 1.02 < pt.k_peak < 1.06
