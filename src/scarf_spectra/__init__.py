@@ -28,6 +28,17 @@ from .wavefunctions import (JacobiSpec, QuadratureResult, bound_state,
 
 __version__ = "0.1.0"
 
+
+def __getattr__(name):
+    # verify_suite lives with the CLI that renders it; imported on first use,
+    # so `import scarf_spectra` does not load the CLI and
+    # `python -m scarf_spectra.cli` does not find it imported already
+    if name == "verify_suite":
+        from .cli import verify_suite
+        return verify_suite
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
     "BRANCH_SIGNS", "ConvergenceError", "CouplingParams", "DegeneracyNote",
     "DerivedParams", "DomainError", "GridSpec", "JacobiSpec",
@@ -47,6 +58,6 @@ __all__ = [
     "potential_value", "pseudo_norm", "residual",
     "scattering", "singularity_locus", "singularity_scan",
     "singularity_wavefunction", "solve_branch", "spectrum", "superpotential",
-    "superpotential_derivative", "wavefunction_derivative",
+    "superpotential_derivative", "verify_suite", "wavefunction_derivative",
     "wavefunction_params", "wavefunction_value",
 ]

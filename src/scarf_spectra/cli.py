@@ -1,6 +1,7 @@
 """Command-line front end: batch computations with JSON/CSV artifacts.
 
-Commands: spectrum, wavefunction, singularity, partner, scatter, verify.
+Commands: spectrum, wavefunction, singularity, partner, scatter, verify;
+``verify`` prints the rows of ``verify_suite``, its library form.
 Output is deterministic: fixed key order, floats at 12 significant digits,
 complex numbers as {"re", "im"}.  Exit codes: 0 success, 2 bad arguments or an
 unwritable --out, 3 domain/regime error, 4 numerical non-convergence or failed
@@ -117,6 +118,111 @@ def _level_json(lv) -> dict:
 
 
 # ----------------------------------------------------------------------------
+# the check suite of `verify`
+# ----------------------------------------------------------------------------
+
+def _worst(values) -> float:
+    # np.max, not max(): Python's max drops a NaN that is not first
+    return float(np.max(list(values)))
+
+
+@np.errstate(all="ignore")
+def verify_suite(params: CouplingParams, grid: GridSpec) -> list:
+    """The rows of ``verify`` for ``params`` on ``grid``, in the order printed:
+    dicts with ``name``, ``passed``, ``value``, ``threshold`` and ``note``.
+
+    A row passes when its value is below its threshold, so a NaN fails it
+    (NumPy's warnings are silenced, as in ``run``).  A skipped check has
+    value and threshold None, passes, and its note says why.  The rows:
+
+    - ``potential-pt-symmetry``: max|conj V(-x) - V(x)| / max|V| on the
+      grid, below 1e-13;
+    - where ``spectrum`` has levels: ``matching-conditions``, the largest
+      of ``matching_residuals``, below 1e-10; ``wavefunction-residuals``,
+      the largest ``residual`` of a closed-form bound state on the grid,
+      below 1e-6; and ``analytic-vs-numeric-levels``, the largest gap
+      |E - z| / (1 + |E|) from a level to the nearest level of
+      ``discrete_spectrum``, below 1e-3.  Without levels, a skipped
+      ``spectrum`` row; on the regime boundary, a skipped ``spectrum`` row
+      and no further rows;
+    - for V2 > 0, one row per branch, ``factorization-`` and its signs
+      (``++``, ``+-``, ``-+``, ``--``): the larger of the two
+      ``factorization_residuals`` on the grid, below 1e-8, or skipped where
+      the branch cannot be solved.  For V2 < 0, a skipped ``factorization``
+      row.
+
+    A failing residual or level row names its worst level, NaN first; a
+    residual row whose state is not finite names the first such level.
+    """
+    xs = grid.points()
+    potential = lambda x: potential_value(params, x)
+    d = derive(params)
+    checks = []
+
+    def record(name, value=None, threshold=None, note=""):
+        # a check with no value was skipped, and passes
+        skipped = value is None
+        checks.append({"name": name, "passed": skipped or bool(value < threshold),
+                       "value": None if skipped else float(value),
+                       "threshold": None if skipped else float(threshold), "note": note})
+        return checks[-1]
+
+    vv = potential_value(params, xs)
+    scale = np.max(np.abs(vv))
+    record("potential-pt-symmetry",
+           np.max(np.abs(np.conj(vv[::-1]) - vv)) / scale, 1e-13)
+
+    if d.regime is Regime.BOUNDARY:
+        record("spectrum", note="regime boundary: spectral checks skipped")
+        return checks
+    levels = spectrum(d)
+    if levels:
+        record("matching-conditions",
+               _worst(r for lv in levels for r in matching_residuals(lv, params).values()),
+               1e-10)
+        values, notes = [], []
+        for lv in levels:
+            try:
+                values.append(residual(potential, lambda x, _lv=lv: bound_state(_lv, x),
+                                       lv.energy, grid))
+            except DomainError as exc:
+                values.append(math.nan)
+                notes.append(f"n = {lv.n}, epsilon = {lv.epsilon:+d}: {exc}")
+        row = record("wavefunction-residuals", _worst(values), 1e-6,
+                     note=notes[0] if notes else "")
+        if not row["passed"] and not notes:
+            # np.argmax, like _worst, picks a NaN first
+            lv = levels[int(np.argmax(values))]
+            row["note"] = f"worst n = {lv.n}, epsilon = {lv.epsilon:+d}"
+        numeric = discrete_spectrum(potential, grid, count=len(levels))
+        gaps = [min((abs(complex(lv.energy) - z) for z in numeric), default=np.inf)
+                / (1.0 + abs(lv.energy)) for lv in levels]
+        note = f"{len(levels)} levels"
+        unmatched = sum(not g < 1e-3 for g in gaps)
+        if unmatched:
+            lv = levels[int(np.argmax(gaps))]
+            note += (f", {unmatched} unmatched; worst n = {lv.n}, "
+                     f"epsilon = {lv.epsilon:+d}, gap {_worst(gaps):.3g}")
+        record("analytic-vs-numeric-levels", _worst(gaps), 1e-3, note=note)
+    else:
+        record("spectrum", note="no bound levels")
+
+    if d.nu > 0:
+        for ep, em in BRANCH_SIGNS:
+            name = "factorization-" + _BRANCH_LABELS[(ep, em)]
+            try:
+                branch = solve_branch(d, ep, em)
+            except SingularBranchError as exc:
+                record(name, note=str(exc))
+                continue
+            res_v, res_ext = factorization_residuals(branch, params, xs)
+            record(name, _worst((res_v, res_ext)), 1e-8)
+    else:
+        record("factorization", note="v2 < 0: partner checks skipped")
+    return checks
+
+
+# ----------------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------------
 
@@ -228,75 +334,9 @@ def _cmd_scatter(args: argparse.Namespace):
     }
 
 
-def _worst(values) -> float:
-    # np.max, not max(): Python's max drops a NaN that is not first
-    return float(np.max(list(values)))
-
-
 def _cmd_verify(args: argparse.Namespace):
-    params = CouplingParams(args.v1, args.v2)
-    d = derive(params)
-    grid = GridSpec(args.domain, args.points or REFERENCE_GRID.n_points)
-    xs = grid.points()
-    potential = lambda x: potential_value(params, x)
-    checks = []
-
-    def record(name, value=None, threshold=None, note=""):
-        # a check with no value was skipped, and passes
-        skipped = value is None
-        checks.append({"name": name, "passed": skipped or bool(value < threshold),
-                       "value": None if skipped else float(value),
-                       "threshold": None if skipped else float(threshold), "note": note})
-
-    vv = potential_value(params, xs)
-    scale = np.max(np.abs(vv))
-    record("potential-pt-symmetry",
-           np.max(np.abs(np.conj(vv[::-1]) - vv)) / scale, 1e-13)
-
-    if d.regime is Regime.BOUNDARY:
-        record("spectrum", note="regime boundary: spectral checks skipped")
-    else:
-        levels = spectrum(d)
-        if levels:
-            record("matching-conditions",
-                   _worst(r for lv in levels for r in matching_residuals(lv, params).values()),
-                   1e-10)
-            values, notes = [], []
-            for lv in levels:
-                try:
-                    values.append(residual(potential, lambda x, _lv=lv: bound_state(_lv, x),
-                                           lv.energy, grid))
-                except DomainError as exc:
-                    values.append(math.nan)
-                    notes.append(f"n = {lv.n}, epsilon = {lv.epsilon:+d}: {exc}")
-            record("wavefunction-residuals", _worst(values), 1e-6,
-                   note=notes[0] if notes else "")
-            numeric = discrete_spectrum(potential, grid, count=len(levels))
-            gaps = [min((abs(complex(lv.energy) - z) for z in numeric), default=np.inf)
-                    / (1.0 + abs(lv.energy)) for lv in levels]
-            note = f"{len(levels)} levels"
-            unmatched = sum(not g < 1e-3 for g in gaps)
-            if unmatched:
-                # np.argmax, like _worst, picks a NaN first
-                lv = levels[int(np.argmax(gaps))]
-                note += (f", {unmatched} unmatched; worst n = {lv.n}, "
-                         f"epsilon = {lv.epsilon:+d}, gap {_worst(gaps):.3g}")
-            record("analytic-vs-numeric-levels", _worst(gaps), 1e-3, note=note)
-        else:
-            record("spectrum", note="no bound levels")
-
-        if d.nu > 0:
-            for ep, em in BRANCH_SIGNS:
-                name = "factorization-" + _BRANCH_LABELS[(ep, em)]
-                try:
-                    branch = solve_branch(d, ep, em)
-                except SingularBranchError as exc:
-                    record(name, note=str(exc))
-                    continue
-                res_v, res_ext = factorization_residuals(branch, params, xs)
-                record(name, _worst((res_v, res_ext)), 1e-8)
-        else:
-            record("factorization", note="v2 < 0: partner checks skipped")
+    checks = verify_suite(CouplingParams(args.v1, args.v2),
+                          GridSpec(args.domain, args.points or REFERENCE_GRID.n_points))
     return {"all_passed": all(c["passed"] for c in checks), "checks": checks}
 
 

@@ -20,6 +20,7 @@ v1 + |v2| = 4 n*^2 + 4 n* + 3/4.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -140,8 +141,8 @@ def singularity_locus(n: int, v1_range: tuple, steps: int) -> list[LocusPoint]:
     if n < 0:
         raise DomainError(f"singularity index must be >= 0, got {n}")
     v1_min, v1_max = v1_range
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
+    if not isinstance(steps, numbers.Integral) or steps < 1:
+        raise DomainError(f"steps must be an integer >= 1, got {steps!r}")
     if v1_min <= 0 or v1_min > v1_max:
         raise DomainError(f"invalid v1 range ({v1_min}, {v1_max})")
     coupling_sum = 4.0 * n * n + 4.0 * n + 0.75

@@ -1,47 +1,28 @@
-"""Analytics-free numerical checks: eigensolver, scattering, residuals.
+"""Analytics-free numerical checks: eigen-solver, scattering, residuals.
 
 Everything in this module treats the potential as an opaque callable
 ``V(x) -> complex array`` so it can cross-check the closed-form results
 without sharing any of their algebra.  Both numeric paths take V as zero
-beyond ``GridSpec.half_width``.  Discrete levels come from Chebyshev
-collocation on the whole line, mapped by x = c xi / sqrt(1 - xi^2) with
-psi = 0 at xi = -1, 1 (Boyd, Chebyshev and Fourier Spectral Methods, Dover
-2001, ch. 17), at Chebyshev points in the exactly antisymmetric sine form:
-one dense eigenvalue solve at degree N and one at 3N/2, real when the samples
-of V are exactly PT-symmetric and complex otherwise, with
-Boyd's drift test (ch. 7) keeping the eigenvalues that agree between them and
-a continuum test dropping the real non-negative ones; N grows from 56 by 3/2
-up to 424 while fewer levels than asked are resolved.  Scattering quantities
-come from the Jost solutions at x = -L, 0 and L, the solutions of
-psi'' = (V - k^2) psi with plane-wave data on one wall of [-L, L].  A
-transfer-matrix kernel propagates them: fourth-order Magnus steps with two
-Gauss nodes each (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151), whose
-2x2 exponentials have a closed form, multiplied by tree reduction.  The n
-steps of [0, L] are graded, x = L sinh(alpha t) / sinh(alpha) at t = j / n,
-short round x = 0 and long in the e^{-|x|} tail, and those of [-L, 0] are
-their mirror image; alpha comes once per mesh from the largest |V| on a
-probe of V (``_mesh_alpha``).  The mesh (``_Mesh``) holds what does not
-depend on k, alpha and each pass's samples of V; a call builds its own, and
-the calls of one |T| peak search share one.  A float momentum is a batch of
-one: the momenta of a batch share one ladder of step counts, doubling from
-the first power of two n >= 4L, whatever k (the Magnus error does not grow
-with k; Iserles, BIT 42 (2002) 561), and one sample of V per pass serves
-both half boxes and every momentum in it.  No momentum can leave before the third
-rung, so the entry pass covers the first three rungs, n, 2n and 4n, and
-each later pass one rung.  Where V's samples at a rung's nodes are exactly
-PT-symmetric (the eigen-solve's test) only the right half box is needed:
-k^2 being real, the left propagator is its mirror image.  Tiles of at most
-``_BLOCK`` step matrices have a step count set by the pass's rungs alone,
-so a momentum's result does not depend on its batch.  Each momentum leaves
-the ladder once the error estimate of its latest Richardson extrapolation
-meets the fixed tolerance ``_JOST_TOL``.  The |T| peak search samples a
-momentum window in one batched call, then refines round the largest |T|
-with one batched call per step, all on one mesh of V: a parabolic step
-integrates the vertex of the parabola through 1/|T|^2 at the three samples
-round the peak and two momenta either side of it, and a bisection step,
-the fallback where no such vertex serves, both midpoints.
-``residual`` applies the eighth-order central finite-difference Laplacian on a
-uniform grid.  The module needs numpy only.
+beyond ``GridSpec.half_width``.  Each function's docstring gives its method
+and references; the module holds:
+
+- ``GridSpec`` and ``REFERENCE_GRID``: the uniform grid of ``residual``, and
+  the half-width L that the other routines read from it;
+- ``discrete_spectrum``: the lowest levels by Chebyshev collocation on the
+  whole line (``_cheb``, ``_mapped_eigvals``), kept by Boyd's drift test
+  (``_drift_resolved``) as the degree grows;
+- ``jost_solutions`` and ``scattering``: the Jost solutions at x = -L, 0, L
+  and the amplitudes read from them, by graded fourth-order Magnus steps
+  (``_step_exponentials``, ``_layout``, ``_propagators``, ``_product``) on
+  a mesh of V (``_Mesh``), with Richardson extrapolation over a ladder of
+  step counts;
+- ``singularity_scan``: the |T| peak in a momentum window for each coupling
+  pair (``_peak_in_window``), parabolic steps on 1/|T|^2 with bisection as
+  the fallback;
+- ``residual``: the Schroedinger residual of any callable, by the
+  eighth-order finite-difference Laplacian.
+
+The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -74,8 +55,9 @@ class GridSpec:
     def __post_init__(self):
         if not (self.half_width > 0.0 and math.isfinite(self.half_width)):
             raise DomainError(f"half_width must be positive, got {self.half_width}")
-        if self.n_points < 201 or self.n_points % 2 == 0:
-            raise DomainError(f"n_points must be odd and >= 201, got {self.n_points}")
+        if (not isinstance(self.n_points, numbers.Integral) or self.n_points < 201
+                or self.n_points % 2 == 0):
+            raise DomainError(f"n_points must be an odd integer >= 201, got {self.n_points!r}")
 
     @property
     def h(self) -> float:
@@ -231,8 +213,8 @@ def discrete_spectrum(potential: Callable, grid: GridSpec, count: int) -> list:
     rejected by the drift test and how many by the continuum test, and how
     many levels are returned.
     """
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+    if not isinstance(count, numbers.Integral) or count < 1:
+        raise DomainError(f"count must be an integer >= 1, got {count!r}")
     n = _FIRST_DEGREE
     coarse, real = _mapped_eigvals(potential, grid.half_width, n)
     forms = {real}
@@ -740,6 +722,8 @@ def _peak_in_window(potential: Callable, k_window, grid: GridSpec,
     the potential: V is probed once and sampled once per distinct pass of
     the Jost ladder, and the mesh is dropped when the call returns.
     """
+    if np.shape(k_window) != (2,):
+        raise DomainError(f"momentum window must be (k_lo, k_hi), got {k_window!r}")
     k_lo, k_hi = float(k_window[0]), float(k_window[1])
     if not (0.0 < k_lo < k_hi < math.inf):
         raise DomainError(f"invalid momentum window ({k_lo}, {k_hi})")
@@ -792,10 +776,11 @@ def singularity_scan(params_curve: Sequence, k_window, grid: GridSpec,
     the vertex of the parabola through 1/|T|^2 at the three samples and two
     momenta just either side of it, or, where that parabola cannot serve,
     bisects both neighbouring intervals (``_peak_in_window``); the
-    benchmark's points take 3 parabolic steps.  The window's ends must be
-    finite.  A point's calls share one mesh of its V (``_peak_in_window``):
-    one probe of V and one sample per distinct pass of the Jost ladder, 2
-    calls of V in all at the benchmark's points.  The ``ScanPoint`` takes its
+    benchmark's points take 3 parabolic steps.  ``k_window`` is
+    (k_lo, k_hi) with 0 < k_lo < k_hi < inf.  A point's calls share one
+    mesh of its V (``_peak_in_window``): one probe of V and one sample per
+    distinct pass of the Jost ladder, 2 calls of V in all at the
+    benchmark's points.  The ``ScanPoint`` takes its
     values from the call that integrated ``k_peak``.
     On the singularity locus the peak is a near-pole of |T|
     with a collapsing Wronskian; off it, a finite bump.  When |T| is largest

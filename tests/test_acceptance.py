@@ -12,15 +12,14 @@ import numpy as np
 
 from scarf_spectra import (BRANCH_SIGNS, CouplingParams, GridSpec,
                            JacobiSpec, REFERENCE_GRID, added_level_wavefunction,
-                           bound_state, derive,
-                           detect_singularity, discrete_spectrum,
-                           extended_potential, factorization_residuals,
-                           factorizing_function, jacobi_eval, jacobi_explicit,
+                           derive, detect_singularity, discrete_spectrum,
+                           extended_potential, factorizing_function,
+                           jacobi_eval, jacobi_explicit,
                            matching_residuals, partner_singularity,
                            partner_spectrum, partner_wavefunction_closed,
                            potential_value, pseudo_norm, residual,
-                           scattering, singularity_scan, singularity_wavefunction,
-                           solve_branch, spectrum, wavefunction_params)
+                           singularity_scan, singularity_wavefunction,
+                           solve_branch, spectrum, verify_suite)
 from scarf_spectra.params import Regime
 from scarf_spectra.verify import _peak_in_window
 
@@ -35,6 +34,13 @@ def _report(num: int, desc: str, ok: bool, detail: str = ""):
 
 def _pot(params):
     return lambda x: potential_value(params, x)
+
+
+def _suite_row(v1, v2, name):
+    # the row of verify's check suite on the reference grid
+    (row,) = [row for row in verify_suite(CouplingParams(v1, v2), REFERENCE_GRID)
+              if row["name"] == name]
+    return row
 
 
 def test_criterion_01_real_regime_spectrum_vs_numeric():
@@ -93,12 +99,10 @@ def test_criterion_04_pseudo_norm_pi():
 
 
 def test_criterion_05_factorization_identities():
-    params = CouplingParams(12.0, 6.0)
-    branch = solve_branch(derive(params), 1, 1)
-    res_v, res_ext = factorization_residuals(branch, params, REFERENCE_GRID.points())
-    ok = res_v < 1e-8 and res_ext < 1e-8
+    row = _suite_row(12.0, 6.0, "factorization-++")
+    ok = row["passed"] and row["threshold"] == 1e-8
     _report(5, "W^2 -+ W' + E rebuilds V and V_ext for branch (+,+) of (12, 6)",
-            ok, "residuals %.1e / %.1e" % (res_v, res_ext))
+            ok, "larger residual %.1e" % row["value"])
 
 
 def test_criterion_06_partner_level_deletion():
@@ -193,11 +197,10 @@ def test_criterion_09_property_suites():
         # np.max keeps a NaN, which Python's max drops when it is not first
         worst_res = float(np.max([worst_res, residual(pot, psi, energy, REFERENCE_GRID)]))
 
+    # the bound states: verify's rows, the largest residual of each pair
     for v1, v2 in ((12.0, 6.0), (1.0, 5.0), (12.0, -6.0)):
-        params = CouplingParams(v1, v2)
-        d = derive(params)
-        for lv in spectrum(d):
-            track(_pot(params), lambda x, _lv=lv: bound_state(_lv, x), lv.energy)
+        worst_res = float(np.max([worst_res,
+                                  _suite_row(v1, v2, "wavefunction-residuals")["value"]]))
 
     for v1, v2 in ((2.0, 6.75), (0.125, 0.625)):
         params = CouplingParams(v1, v2)

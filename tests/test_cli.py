@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 import scarf_spectra.cli as cli
-from scarf_spectra import (ConvergenceError, CouplingParams, bound_state, derive,
-                           spectrum)
+from scarf_spectra import (REFERENCE_GRID, ConvergenceError, CouplingParams, GridSpec,
+                           bound_state, derive, spectrum, verify_suite)
 from scarf_spectra.cli import main
 
 
@@ -394,36 +395,47 @@ def test_verify_command_passes(capsys):
     assert any(n.startswith("factorization-") for n in names)
 
 
-def test_verify_near_exceptional_point_passes(capsys):
+def _rows(v1, v2, grid=REFERENCE_GRID) -> dict:
+    return {row["name"]: row for row in verify_suite(CouplingParams(v1, v2), grid)}
+
+
+def test_verify_prints_the_rows_of_verify_suite(capsys):
+    # the command prints the library's rows in order, serialized like any
+    # result (a NaN value as "nan"), and exits 4 when one fails
+    code, out, _ = _run(capsys, ["verify", "--v1", "2000", "--v2", "500"])
+    assert code == 4
+    results = json.loads(out)["results"]
+    rows = verify_suite(CouplingParams(2000.0, 500.0), REFERENCE_GRID)
+    assert results["checks"] == json.loads(cli._dumps(rows))
+    assert results["all_passed"] is False and '"value": "nan"' in out
+
+
+def test_verify_near_exceptional_point_passes():
     # (12, 12.249) sits just inside the real regime: its two upper levels are
     # nearly degenerate, and the solver must resolve both
-    code, out, _ = _run(capsys, ["verify", "--v1", "12", "--v2", "12.249"])
-    doc = json.loads(out)
-    row = {c["name"]: c for c in doc["results"]["checks"]}["analytic-vs-numeric-levels"]
+    rows = _rows(12.0, 12.249)
+    row = rows["analytic-vs-numeric-levels"]
     assert row["note"] == "4 levels"
     assert row["passed"] and row["value"] < row["threshold"] == 1e-3
-    assert code == 0 and doc["results"]["all_passed"] is True
+    assert all(r["passed"] for r in rows.values())
 
 
-def test_verify_level_threshold_ignores_points(capsys):
+def test_verify_level_threshold_ignores_points():
     # the eigen-solver does not use the grid's point count, so the threshold
     # its levels are held to does not follow it either
-    _, out, _ = _run(capsys, ["verify", "--v1", "12", "--v2", "6", "--points", "201"])
-    doc = json.loads(out)
-    row = {c["name"]: c for c in doc["results"]["checks"]}["analytic-vs-numeric-levels"]
+    row = _rows(12.0, 6.0, GridSpec(20.0, 201))["analytic-vs-numeric-levels"]
     assert row["passed"] and row["threshold"] == 1e-3
 
 
 @pytest.mark.parametrize("v1, v2", [(100.0, 40.0), (400.0, 100.0), (13.3525, 7.1)])
-def test_verify_passes_where_a_box_solver_failed(capsys, v1, v2):
+def test_verify_passes_where_a_box_solver_failed(v1, v2):
     # second-order error failed (100, 40); the shallow levels of (400, 100)
     # and the level at E = -0.0025 of (13.3525, 7.1) reach past a box of
     # half-width 20
-    code, out, _ = _run(capsys, ["verify", "--v1", str(v1), "--v2", str(v2)])
-    doc = json.loads(out)
-    row = {c["name"]: c for c in doc["results"]["checks"]}["analytic-vs-numeric-levels"]
+    rows = _rows(v1, v2)
+    row = rows["analytic-vs-numeric-levels"]
     assert row["passed"] and row["value"] < 1e-6
-    assert code == 0 and doc["results"]["all_passed"] is True
+    assert all(r["passed"] for r in rows.values())
 
 
 @pytest.mark.parametrize("v1, v2, rows", [
@@ -436,30 +448,33 @@ def test_verify_passes_where_a_box_solver_failed(capsys, v1, v2):
                   ("wavefunction-residuals", ""), ("analytic-vs-numeric-levels", "4 levels"),
                   ("factorization", "v2 < 0: partner checks skipped")]),
 ])
-def test_verify_skipped_checks(capsys, v1, v2, rows):
-    code, out, _ = _run(capsys, ["verify", "--v1", str(v1), "--v2", str(v2)])
-    checks = json.loads(out)["results"]["checks"]
+def test_verify_skipped_checks(v1, v2, rows):
+    checks = verify_suite(CouplingParams(v1, v2), REFERENCE_GRID)
     assert [(c["name"], c["note"]) for c in checks] == rows
-    assert code == 0 and all(c["passed"] for c in checks)
+    assert all(c["passed"] for c in checks)
 
 
-def test_verify_names_the_level_whose_state_is_not_finite(capsys):
+def test_verify_names_the_level_whose_state_is_not_finite():
     # 8 of the 50 closed-form states of (2000, 500) are NaN at |x| = 20
     # (P_n(i sinh x) overflows where sech^lam underflows)
-    code, out, err = _run(capsys, ["verify", "--v1", "2000", "--v2", "500"])
-    assert code == 4 and err == ""
-    row = {c["name"]: c for c in json.loads(out)["results"]["checks"]}["wavefunction-residuals"]
-    assert row["passed"] is False and row["value"] == "nan"
+    row = _rows(2000.0, 500.0)["wavefunction-residuals"]
+    assert row["passed"] is False and math.isnan(row["value"])
     assert row["note"] == "n = 36, epsilon = +1: psi is not finite at x = -20"
 
 
-def test_verify_names_the_worst_unmatched_level(capsys):
+@pytest.mark.parametrize("v1, v2, note", [
+    (12.0, 6.0, "worst n = 0, epsilon = -1"), (50.0, 20.0, "worst n = 6, epsilon = +1")])
+def test_verify_names_the_level_of_the_worst_residual(v1, v2, note):
+    # 201 points are too few for the eighth-order stencil on these states
+    row = _rows(v1, v2, GridSpec(20.0, 201))["wavefunction-residuals"]
+    assert row["passed"] is False and row["value"] > row["threshold"] == 1e-6
+    assert row["note"] == note
+
+
+def test_verify_names_the_worst_unmatched_level():
     # the n = 2 pair of (8, -20) at E = 2.913 -/+ 0.540i is not resolved by
     # the eigen-solver; both members miss by the same gap, the first is named
-    code, out, _ = _run(capsys, ["verify", "--v1", "8", "--v2", "-20"])
-    assert code == 4
-    row = {c["name"]: c for c in json.loads(out)["results"]["checks"]}[
-        "analytic-vs-numeric-levels"]
+    row = _rows(8.0, -20.0)["analytic-vs-numeric-levels"]
     assert row["passed"] is False
     assert row["note"] == "6 levels, 2 unmatched; worst n = 2, epsilon = -1, gap 0.927"
 
@@ -507,7 +522,9 @@ def test_module_entry_point_subprocess():
          "--v2", "6"],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert proc.returncode == 0
+    # stderr stays empty: importing the package does not import the CLI
+    # module that runpy is about to execute
+    assert proc.returncode == 0 and proc.stderr == ""
     doc = json.loads(proc.stdout)
     assert doc["results"]["levels"][0]["energy"]["re"] == pytest.approx(
         -8.329001404494074, rel=1e-11)

@@ -230,6 +230,9 @@ def test_singularity_locus_bad_ranges():
         singularity_locus(-1, (1.0, 2.0), 2)
     with pytest.raises(DomainError):
         singularity_locus(1, (1.0, 2.0), 0)
+    for steps in (2.5, 2.0, "2"):
+        with pytest.raises(DomainError, match="steps"):
+            singularity_locus(1, (1.0, 5.0), steps)
 
 
 @pytest.mark.parametrize("lam", [-1.0, 0.0, 1e-12, 0.5, 1.0, 3.0, 3.0 + 1e-9])

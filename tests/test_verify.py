@@ -52,6 +52,11 @@ def test_gridspec_validation():
         GridSpec(0.0, 4001)
     with pytest.raises(DomainError):
         GridSpec(float("inf"), 4001)
+    # a count that is not an integer, which numpy's linspace would reject
+    # later with a TypeError
+    for n_points in (301.5, 301.0, "301"):
+        with pytest.raises(DomainError, match="n_points"):
+            GridSpec(20.0, n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +89,12 @@ def test_discrete_spectrum_free_particle_empty():
 def test_discrete_spectrum_count_validation():
     with pytest.raises(DomainError):
         discrete_spectrum(_zero, GridSpec(20.0, 1001), 0)
+    # a count that is not an integer, rejected before V is sampled
+    calls = []
+    for count in (2.5, 2.0, "2"):
+        with pytest.raises(DomainError, match="count"):
+            discrete_spectrum(_counted(_zero, calls), GridSpec(20.0, 1001), count)
+    assert calls == []
 
 
 def test_discrete_spectrum_grid_convergence():
@@ -1061,6 +1072,10 @@ def test_singularity_scan_validation():
     # an end that is not finite, before numpy's linspace warns on it
     for window in ((0.9, math.inf), (0.9, math.nan), (math.inf, math.inf)):
         with pytest.raises(DomainError, match="invalid momentum window"):
+            singularity_scan([PARAMS_COMPLEX], window, grid)
+    # a window of other than two ends
+    for window in ((0.9, 1.3, 2), (0.9,), 1.1, ((0.9, 1.0), (1.2, 1.3))):
+        with pytest.raises(DomainError, match="momentum window must be"):
             singularity_scan([PARAMS_COMPLEX], window, grid)
     # a tolerance below the float spacing: the search stops once no new
     # momentum lies strictly inside the bracket
