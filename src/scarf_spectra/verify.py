@@ -722,9 +722,10 @@ def _peak_in_window(potential: Callable, k_window, grid: GridSpec,
     the potential: V is probed once and sampled once per distinct pass of
     the Jost ladder, and the mesh is dropped when the call returns.
     """
-    if np.shape(k_window) != (2,):
-        raise DomainError(f"momentum window must be (k_lo, k_hi), got {k_window!r}")
-    k_lo, k_hi = float(k_window[0]), float(k_window[1])
+    try:
+        k_lo, k_hi = (float(k) for k in k_window)
+    except (TypeError, ValueError):
+        raise DomainError(f"momentum window must be (k_lo, k_hi), got {k_window!r}") from None
     if not (0.0 < k_lo < k_hi < math.inf):
         raise DomainError(f"invalid momentum window ({k_lo}, {k_hi})")
     if not isinstance(coarse_steps, numbers.Integral) or coarse_steps < 5:

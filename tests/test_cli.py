@@ -402,8 +402,8 @@ def _rows(v1, v2, grid=REFERENCE_GRID) -> dict:
 def test_verify_prints_the_rows_of_verify_suite(capsys):
     # the command prints the library's rows in order, serialized like any
     # result (a NaN value as "nan"), and exits 4 when one fails
-    code, out, _ = _run(capsys, ["verify", "--v1", "2000", "--v2", "500"])
-    assert code == 4
+    code, out, err = _run(capsys, ["verify", "--v1", "2000", "--v2", "500"])
+    assert code == 4 and err == ""
     results = json.loads(out)["results"]
     rows = verify_suite(CouplingParams(2000.0, 500.0), REFERENCE_GRID)
     assert results["checks"] == json.loads(cli._dumps(rows))

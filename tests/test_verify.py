@@ -1074,7 +1074,8 @@ def test_singularity_scan_validation():
         with pytest.raises(DomainError, match="invalid momentum window"):
             singularity_scan([PARAMS_COMPLEX], window, grid)
     # a window of other than two ends
-    for window in ((0.9, 1.3, 2), (0.9,), 1.1, ((0.9, 1.0), (1.2, 1.3))):
+    for window in ((0.9, 1.3, 2), (0.9,), 1.1, ((0.9, 1.0), (1.2, 1.3)),
+                   ((0.9,), 1.0)):
         with pytest.raises(DomainError, match="momentum window must be"):
             singularity_scan([PARAMS_COMPLEX], window, grid)
     # a tolerance below the float spacing: the search stops once no new
