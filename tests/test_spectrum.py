@@ -233,6 +233,11 @@ def test_singularity_locus_bad_ranges():
     for steps in (2.5, 2.0, "2"):
         with pytest.raises(DomainError, match="steps"):
             singularity_locus(1, (1.0, 5.0), steps)
+    # a fractional index is no locus, and a range is two ends
+    with pytest.raises(DomainError, match="index"):
+        singularity_locus(1.5, (1.0, 2.0), 2)
+    with pytest.raises(DomainError, match="range"):
+        singularity_locus(1, (1.0, 2.0, 3.0), 2)
 
 
 @pytest.mark.parametrize("lam", [-1.0, 0.0, 1e-12, 0.5, 1.0, 3.0, 3.0 + 1e-9])

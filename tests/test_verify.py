@@ -52,6 +52,8 @@ def test_gridspec_validation():
         GridSpec(0.0, 4001)
     with pytest.raises(DomainError):
         GridSpec(float("inf"), 4001)
+    with pytest.raises(DomainError, match="half_width"):
+        GridSpec("20", 4001)
     # a count that is not an integer, which numpy's linspace would reject
     # later with a TypeError
     for n_points in (301.5, 301.0, "301"):
@@ -462,17 +464,18 @@ def _gaussian_well(x):
 
 
 @pytest.mark.parametrize("potential, ks, grid, covers", [
-    # 41 momenta: more than the 4096 // 896 = 4 that share a tile in the
-    # entry pass at L = 20 (512 + 256 + 128 steps of a mirrored V)
-    (_pot(PARAMS_COMPLEX), np.linspace(0.4, 3.0, 41), GridSpec(20.0, 201), "tiles"),
+    # 41 momenta: more than one chunk holds, 4096 // 896 = 4 in the entry
+    # pass at L = 20 (512 + 256 + 128 steps of a mirrored V)
+    (_pot(PARAMS_COMPLEX), np.linspace(0.4, 3.0, 41), GridSpec(20.0, 201), "chunks"),
     # on some rung the well needs the closed-form step exponentials for
-    # k = 5.5 and 6 and only the series for smaller momenta in the same tile
+    # k = 5.5 and 6 and only the series for smaller momenta in the same chunk
     (_gaussian_well, np.array([1.0, 6.0, 1.3, 5.5, 0.7]), GridSpec(20.0, 201), "forms"),
     # k = 0.5 leaves the ladder rungs before k = 30
     (_pot(PARAMS_COMPLEX), np.array([0.5, 30.0]), GridSpec(20.0, 201), "leave"),
     # the entry at L = 80 is 512 steps per half, so its pass holds
-    # 2048 + 1024 + 512 steps per half, more than one tile's 2048
-    (_pot(PARAMS_COMPLEX), np.array([0.5, 2.0, 1.0]), GridSpec(80.0, 201), "span"),
+    # 2048 + 1024 + 512 steps per half, more than _BLOCK // 2: one momentum
+    # per chunk
+    (_pot(PARAMS_COMPLEX), np.array([0.5, 2.0, 1.0]), GridSpec(80.0, 201), "single"),
 ], ids=["sweep", "mixed-forms", "leave-at-different-rungs", "entry-spans-tiles"])
 def test_batched_momenta_match_single_calls_bit_for_bit(monkeypatch, caplog, potential,
                                                         ks, grid, covers):
@@ -482,8 +485,11 @@ def test_batched_momenta_match_single_calls_bit_for_bit(monkeypatch, caplog, pot
     step_exponentials = verify_module._step_exponentials
 
     def spy_propagators(layout, k2):
-        passes.append((layout.counts, len(k2)))
-        return propagators(layout, k2)
+        start = len(rows)
+        props = propagators(layout, k2)
+        # the pass's step counts, momenta and chunks
+        passes.append((layout.counts, len(k2), len(rows) - start))
+        return props
 
     def spy_step_exponentials(w1, w2, h):
         c = (np.sqrt(3.0) / 12.0) * h * h * (w1 - w2)
@@ -497,15 +503,14 @@ def test_batched_momenta_match_single_calls_bit_for_bit(monkeypatch, caplog, pot
     # each record's Richardson estimate depends on the last three rungs
     records = [r.args for r in caplog.records]
     jost = jost_solutions(potential, ks, grid)
-    # the batch spread over several tiles of a pass (a mirrored V's tile holds
-    # 4096 // b momenta, b = min(steps per half, 2048)), mixed the two forms
-    # of the step exponentials within one tile, left the ladder at two rungs,
-    # or had a pass with more steps per half than one tile holds
-    block = verify_module._BLOCK
-    assert {"tiles": any(m > block // min(sum(n), block // 2) for n, m in passes),
+    # the batch spread over several chunks of a pass (a chunk holds
+    # max(1, 4096 // (halves * steps per half)) momenta), mixed the two forms
+    # of the step exponentials within one chunk, left the ladder at two
+    # rungs, or had a pass of several momenta and one momentum per chunk
+    assert {"chunks": any(c > 1 for _, _, c in passes),
             "forms": any(r.any() and not r.all() for r in rows),
-            "leave": any(b < a for (_, a), (_, b) in zip(passes, passes[1:])),
-            "span": any(sum(n) > block // 2 for n, _ in passes)}[covers]
+            "leave": any(b < a for (_, a, _), (_, b, _) in zip(passes, passes[1:])),
+            "single": any(c == m > 1 for _, m, c in passes)}[covers]
     assert len(batch) == len(records) == len(ks)
     for i, k in enumerate(ks):
         caplog.clear()
@@ -614,7 +619,7 @@ def _halves_spy(monkeypatch):
     (_pot(PARAMS_COMPLEX), GridSpec(20.0, 201)),
     (_pot(CouplingParams(2.0, 6.75)), GridSpec(20.0, 201)),
     (_partner(PARAMS_REAL, (-1, -1)), GridSpec(20.0, 201)),
-    # an entry pass of 2048 + 1024 + 512 steps per half, over two tiles
+    # an entry pass of 2048 + 1024 + 512 steps per half, one momentum a chunk
     (_pot(PARAMS_COMPLEX), GridSpec(80.0, 201))],
     ids=["(1, 5)", "(2, 6.75)", "(12, 6) partner (-, -)", "(1, 5) at L = 80"])
 def test_mirrored_propagator_matches_both_halves(monkeypatch, potential, grid):
@@ -634,6 +639,25 @@ def _pass(potential, counts, k2):
     laid out afresh, and whether each count was mirrored."""
     layout = verify_module._layout(potential, 20.0, counts, 3.0)
     return verify_module._propagators(layout, k2), layout.mirrored
+
+
+@pytest.mark.parametrize("potential", [_pot(PARAMS_COMPLEX), _gaussian_well],
+                         ids=["mirrored", "both-halves"])
+def test_propagators_do_not_depend_on_the_chunk(monkeypatch, potential):
+    # _propagators takes the momenta in chunks whose length and offset depend
+    # on the batch, so a momentum's arithmetic must not depend on the memory
+    # layout of its chunk (contiguous, strided or broadcast, where NumPy's
+    # inner loops take other paths) nor on the momenta that share it
+    layout = verify_module._layout(potential, 20.0, (512, 256, 128), 3.0)
+    k2 = np.linspace(0.4, 3.0, 11) ** 2        # more momenta than one chunk holds
+    k2_big = np.repeat(k2, 2)
+    ref = verify_module._propagators(layout, k2)
+    assert np.array_equal(verify_module._propagators(layout, k2_big[::2]), ref)
+    for j, kk in enumerate(k2):
+        same = verify_module._propagators(layout, np.broadcast_to(kk, (5,)))
+        assert np.array_equal(same, np.repeat(ref[:, :, j:j + 1], 5, axis=2)), j
+    monkeypatch.setattr(verify_module, "_BLOCK", 1)     # one momentum a chunk
+    assert np.array_equal(verify_module._propagators(layout, k2), ref)
 
 
 def test_each_rung_of_a_pass_is_mirrored_by_its_own_samples(monkeypatch, caplog):
@@ -677,7 +701,7 @@ def _counted(potential, calls):
 def test_jost_solutions_takes_the_first_three_rungs_in_one_pass(monkeypatch, caplog):
     # no momentum can leave before the third rung, so one pass takes the first
     # three: besides the probe one sample of V, and for a batch within one
-    # tile one call of _step_exponentials; each later rung is a pass of its
+    # chunk one call of _step_exponentials; each later rung is a pass of its
     # own, with one more sample of V
     passes, steps = [], []
     propagators = verify_module._propagators
@@ -742,8 +766,10 @@ def test_segmented_tree_matches_each_segment_alone(sizes):
         assert np.array_equal(got, alone) and np.array_equal(got, _tree(segment)), size
         start += size
     if sizes == (4096,):
-        # _propagators multiplies the two tiles of 2048 steps in order, which
-        # gives the bits of the one tree
+        # the in-order product of two trees of 2048 steps has the bits of the
+        # one tree of 4096, so when _propagators gave up its tiles of at most
+        # 2048 steps for one tree per pass, outputs of passes of 4096 steps
+        # per half did not move
         (lo,), (hi,) = (verify_module._product(m[..., j:j + 2048], (2048,))
                         for j in (0, 2048))
         assert np.array_equal(products[0], verify_module._mul(hi, lo))

@@ -274,6 +274,9 @@ def test_pseudo_norm_non_finite_domain():
     for domain in ((-math.inf, math.inf), (-5.0, math.inf), (math.nan, 5.0)):
         with pytest.raises(DomainError, match="finite"):
             pseudo_norm(lambda x: np.exp(-x * x), domain)
+    # a domain is two ends
+    with pytest.raises(DomainError, match="domain"):
+        pseudo_norm(lambda x: np.exp(-x * x), (0, 1, 2))
 
 
 def test_pseudo_norm_non_finite_sample():
