@@ -28,7 +28,10 @@ class ConvergenceError(RuntimeError):
 
 
 def check_finite(name: str, values: np.ndarray, x: np.ndarray):
-    """Raise ``DomainError`` naming the smallest x where ``values`` is not finite."""
+    """Raise ``DomainError`` naming ``name`` unless ``values`` holds one value
+    per point of ``x``, or naming the smallest x where ``values`` is not finite."""
+    if np.shape(values) != np.shape(x):
+        raise DomainError(f"{name} must give one value per point, not {np.shape(values)}")
     bad = ~np.isfinite(values)
     if np.any(bad):
         raise DomainError(f"{name} is not finite at x = {np.min(x[bad]):.6g}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,9 @@ class CouplingParams:
     v2: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.v1) and math.isfinite(self.v2)):
-            raise DomainError("couplings must be finite")
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v)
+                   for v in (self.v1, self.v2)):
+            raise DomainError("couplings must be finite real numbers")
         if self.v1 <= 0:
             raise DomainError(f"v1 must be positive, got {self.v1}")
         if self.v2 == 0:

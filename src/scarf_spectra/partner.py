@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -238,8 +239,8 @@ def exceptional_jacobi(degree: int, s: complex, p: complex, y):
     linear factor B(y) = (p - s) - (p + s - 1) y; normalization is fixed so
     the degree-1 member is 2(s - p + 1) + 2(p + s - 1) y.
     """
-    if degree < 1:
-        raise DomainError(f"exceptional Jacobi degree must be >= 1, got {degree}")
+    if not isinstance(degree, numbers.Integral) or degree < 1:
+        raise DomainError(f"exceptional Jacobi degree must be an integer >= 1, got {degree!r}")
     s, p = complex(s), complex(p)
     if abs(2.0 * s - 1.0) < 1e-10 or abs(p + s - 1.0) < 1e-10:
         raise DomainError("degenerate X1 construction: 2s - 1 or p + s - 1 vanishes")
@@ -262,8 +263,8 @@ def partner_polynomial(n: int, epsilon: int, p: complex, sig: complex, y):
 
     eps = -1 family: the degree-(n+1) X1 exceptional Jacobi polynomial.
     """
-    if n < 0:
-        raise DomainError(f"level index must be >= 0, got {n}")
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise DomainError(f"level index must be an integer >= 0, got {n!r}")
     p, sig = complex(p), complex(sig)
     if epsilon == -1:
         return exceptional_jacobi(n + 1, sig, p, y)
@@ -313,7 +314,9 @@ def partner_wavefunction_closed(branch: PartnerBranch, d: DerivedParams,
     """
     if (branch.eps_plus, branch.eps_minus) != (1, 1):
         raise DomainError("closed partner states are implemented for the (+, +) branch only")
-    if not any((lv.n, lv.epsilon) == (n, epsilon) for lv in partner_spectrum(branch, d)[0]):
+    # an index that is not an integer is no level, before any work
+    if not isinstance(n, numbers.Integral) or not any(
+            (lv.n, lv.epsilon) == (n, epsilon) for lv in partner_spectrum(branch, d)[0]):
         raise DomainError(f"(n, eps) = ({n}, {epsilon}) is no level of the (+, +) partner")
     sig = d.sigma
     p = complex(d.p)

@@ -47,8 +47,8 @@ class LevelRecord:
     origin: str = "series"
 
     def __post_init__(self):
-        if self.n < 0:
-            raise DomainError(f"level index must be >= 0, got {self.n}")
+        if not isinstance(self.n, numbers.Integral) or self.n < 0:
+            raise DomainError(f"level index must be an integer >= 0, got {self.n!r}")
         if self.epsilon not in (-1, 1):
             raise DomainError(f"epsilon must be +1 or -1, got {self.epsilon}")
 

@@ -13,9 +13,9 @@ and references; the module holds:
   (``_drift_resolved``) as the degree grows;
 - ``jost_solutions`` and ``scattering``: the Jost solutions at x = -L, 0, L
   and the amplitudes read from them, by graded fourth-order Magnus steps
-  (``_step_exponentials``, ``_layout``, ``_propagators``, ``_product``) on
-  a mesh of V (``_Mesh``), with Richardson extrapolation over a ladder of
-  step counts;
+  (``_step_exponentials``, ``_propagators``, ``_product``) on a mesh of V
+  (``_Mesh``), mirrored per pass, with Richardson extrapolation over a
+  ladder of step counts;
 - ``singularity_scan``: the |T| peak in a momentum window for each coupling
   pair (``_peak_in_window``), parabolic steps on 1/|T|^2 with bisection as
   the fallback;
@@ -32,7 +32,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -153,8 +153,9 @@ def _mapped_eigvals(potential: Callable, half_width: float, n: int):
     x = _MAP_SCALE * xi / np.sqrt(1.0 - xi ** 2)
     box = np.abs(x) <= half_width
     v = np.zeros(n - 1, dtype=complex)
-    v[box] = np.asarray(potential(x[box]), dtype=complex)
-    check_finite("potential", v, x)
+    inside = np.asarray(potential(x[box]), dtype=complex)
+    check_finite("potential", inside, x[box])
+    v[box] = inside
     lap = -gd[1:-1] @ gd[:, 1:-1]
     if _pt_symmetric(v):
         return np.linalg.eigvals(lap + np.diag(v.real) - np.diag(v.imag)[:, ::-1]), True
@@ -191,8 +192,9 @@ def discrete_spectrum(potential: Callable, grid: GridSpec, count: int) -> list:
     g = (1 - xi^2)^(3/2) / c, and psi = 0 at xi = -1, 1, that is at x = -inf,
     inf.  V is sampled at the nodes with |x| <= ``grid.half_width`` and taken
     as 0 beyond, the support ``jost_solutions`` assumes too
-    (``grid.n_points`` is not used); a sample that is not finite raises
-    ``DomainError``.  The points are computed as sin(pi (N - 2j) / (2N)),
+    (``grid.n_points`` is not used); a sample that is not finite, or a V
+    that does not give one value per node, raises ``DomainError``.  The
+    points are computed as sin(pi (N - 2j) / (2N)),
     exactly antisymmetric in floating point, so the samples of a PT-symmetric
     V satisfy v[::-1] == conj(v) bit for bit; such a matrix is solved as the
     similar real matrix (``_mapped_eigvals``), any other in complex
@@ -285,23 +287,6 @@ def _step_exponentials(w1, w2, h):
     return m
 
 
-def _mesh_alpha(v_max: float) -> float:
-    """The alpha of the mesh x = L sinh(alpha t) / sinh(alpha) of
-    ``_propagators`` for a potential with |V| at most ``v_max``: the root of
-    sinh(alpha) / alpha = r, r = ``_ALPHA_SCALE`` sqrt(max(1, v_max)) >= 2.5.
-    The step at x = 0 is the uniform step L / n over r, so it follows the
-    local wavelength 1 / sqrt(max|V|) of the largest |V|, which the Scarf II
-    potentials and their partners reach round x = 0, while the steps at the
-    walls grow to about alpha L / n.  The root is taken by the fixed-point
-    iteration alpha = asinh(r alpha), which contracts by about 1/alpha < 0.4
-    per pass from alpha = 1 and is settled in 40."""
-    r = _ALPHA_SCALE * math.sqrt(max(1.0, v_max))
-    alpha = 1.0
-    for _ in range(40):
-        alpha = math.asinh(r * alpha)
-    return alpha
-
-
 def _mul(m1, m0):
     """m1 @ m0 for 2x2 matrices held as arrays of shape (2, 2, ...),
     elementwise over the trailing axes: the outer product of m1's first
@@ -331,72 +316,103 @@ def _product(m, sizes):
         sizes = [s // 2 for s in sizes]
 
 
-class _Layout(NamedTuple):
-    """The k-independent half of a pass of ``_propagators``: its step counts,
-    V's samples at their Gauss nodes and the step lengths, of shape
-    (halves, steps, 2) and (halves, steps), and whether each count was
-    mirrored."""
+class _Mesh:
+    """The k-independent half of the Jost kernel for one potential V on
+    [-L, L], each part built on first use: the mesh ``alpha``, the ``entry``
+    rung, and the ``layout`` of each tuple of step counts a pass asks for.
+    The calls of ``jost_solutions`` given one mesh share all of it, so V is
+    probed once and sampled once per distinct pass, not once per call.  It
+    keeps V's samples as long as it lives, so it should not outlive the calls
+    on one V that need them (``_peak_in_window`` drops its mesh when a scan
+    point is done)."""
 
-    counts: tuple
-    v: np.ndarray
-    h: np.ndarray
-    mirrored: list
+    def __init__(self, potential: Callable, half_width: float):
+        self.potential, self.half_width = potential, half_width
+        # the first power of two n >= 4 L steps per half
+        self.entry = 1 << (math.ceil(4.0 * half_width) - 1).bit_length()
+        self._layouts = {}
+
+    @cached_property
+    def alpha(self) -> float:
+        """The alpha of the mesh x = L sinh(alpha t) / sinh(alpha): the root of
+        sinh(alpha) / alpha = r, r = ``_ALPHA_SCALE`` sqrt(max(1, max|V|)) >= 2.5,
+        with max|V| over ``_PROBE_POINTS`` equally spaced points of [-L, L].
+        The step at x = 0 is the uniform step L / n over r, so it follows the
+        local wavelength 1 / sqrt(max|V|) of the largest |V|, which the Scarf II
+        potentials and their partners reach round x = 0, while the steps at the
+        walls grow to about alpha L / n.  The root is taken by the fixed-point
+        iteration alpha = asinh(r alpha), which contracts by about 1/alpha < 0.4
+        per pass from alpha = 1 and is settled in 40."""
+        probe = np.linspace(-self.half_width, self.half_width, _PROBE_POINTS)
+        v = np.asarray(self.potential(probe), dtype=complex)
+        check_finite("potential", v, probe)
+        r = _ALPHA_SCALE * math.sqrt(max(1.0, float(np.abs(v).max())))
+        alpha = 1.0
+        for _ in range(40):
+            alpha = math.asinh(r * alpha)
+        return alpha
+
+    def layout(self, counts: tuple):
+        """(v, h, mirrored) of a pass over [-L, 0] and [0, L], n graded steps
+        each, for each step count n of ``counts`` (powers of two, largest
+        first), from one sample of V at the 4n Gauss nodes of every count:
+        V's samples at the Gauss nodes and the step lengths, of shape
+        (halves, steps, 2) and (halves, steps), the counts' steps laid end to
+        end, largest first, and whether the pass is mirrored.
+
+        The step edges of [0, L] are x = L sinh(alpha t) / sinh(alpha) at
+        t = 0, 1/n, ..., 1, short round x = 0 and about cosh(alpha) times
+        longer at the walls, and each step has its two Gauss nodes at its own
+        midpoint -+ ``_GAUSS_OFFSET`` times its own length.  The nodes of
+        [-L, 0] are the exact negatives of those of [0, L], so each count's
+        ascending node array satisfies x[::-1] == -x, and the steps of [-L, 0]
+        are those of [0, L] in reverse order.  The pass is mirrored, and keeps
+        the steps of [0, L] alone (halves = 1), when every count's samples are
+        exactly PT-symmetric (``_pt_symmetric``); otherwise it keeps those of
+        both halves (halves = 2).
+        """
+        if counts in self._layouts:
+            return self._layouts[counts]
+        L, top, alpha = self.half_width, counts[0], self.alpha
+        # the edges of n steps are every (top / n)-th edge of top steps, bit for
+        # bit; the steps of [0, L] and their nodes, count by count
+        edges = L * (np.sinh(alpha * (np.arange(top + 1) / top)) / np.sinh(alpha))
+        lo = np.concatenate([edges[:-1:top // n] for n in counts])
+        h = np.concatenate([edges[top // n::top // n] for n in counts]) - lo
+        right = ((lo + 0.5 * h)[:, None]
+                 + h[:, None] * np.array([-_GAUSS_OFFSET, _GAUSS_OFFSET])).ravel()
+        starts = [sum(counts[:s]) for s in range(len(counts))]
+        # each count's nodes of [-L, 0], the exact negatives, then of [0, L]
+        x = np.concatenate([part for j, n in zip(starts, counts)
+                            for part in (-right[2 * j:2 * (j + n)][::-1],
+                                         right[2 * j:2 * (j + n)])])
+        v = np.asarray(self.potential(x), dtype=complex)
+        check_finite("potential", v, x)
+        samples = [v[4 * j:4 * (j + n)] for j, n in zip(starts, counts)]
+        mirrored = all(_pt_symmetric(s) for s in samples)
+        one = int(mirrored)                     # 1 if [0, L] alone is integrated
+        v = np.concatenate([s.reshape(2, n, 2) for s, n in zip(samples, counts)],
+                           axis=1)[one:]        # half, step, node
+        h = np.stack((np.concatenate([h[j:j + n][::-1] for j, n in zip(starts, counts)]),
+                      h))[one:]                 # half, step
+        self._layouts[counts] = v, h, mirrored
+        return self._layouts[counts]
 
 
-def _layout(potential: Callable, L: float, counts, alpha: float) -> _Layout:
-    """The ``_Layout`` of a pass over [-L, 0] and [0, L], n graded steps
-    each, for each step count n of ``counts`` (powers of two, largest
-    first), from one sample of V at the 4n Gauss nodes of every count.
-
-    The step edges of [0, L] are x = L sinh(alpha t) / sinh(alpha) at
-    t = 0, 1/n, ..., 1 (``alpha`` > 0), short round x = 0 and about
-    cosh(alpha) times longer at the walls, and each step has its two Gauss
-    nodes at its own midpoint -+ ``_GAUSS_OFFSET`` times its own length.  The
-    nodes of [-L, 0] are the exact negatives of those of [0, L], so each
-    count's ascending node array satisfies x[::-1] == -x, and the steps of
-    [-L, 0] are those of [0, L] in reverse order.  A count is mirrored when
-    its samples are exactly PT-symmetric (``_pt_symmetric``); the steps of
-    [0, L] alone are kept when every count is, otherwise those of both
-    halves.  The counts' steps are laid end to end, largest first.
-    """
-    top = counts[0]
-    # the edges of n steps are every (top / n)-th edge of top steps, bit for
-    # bit; the steps of [0, L] and their nodes, count by count
-    edges = L * (np.sinh(alpha * (np.arange(top + 1) / top)) / np.sinh(alpha))
-    lo = np.concatenate([edges[:-1:top // n] for n in counts])
-    h = np.concatenate([edges[top // n::top // n] for n in counts]) - lo
-    right = ((lo + 0.5 * h)[:, None]
-             + h[:, None] * np.array([-_GAUSS_OFFSET, _GAUSS_OFFSET])).ravel()
-    starts = [sum(counts[:s]) for s in range(len(counts))]
-    # each count's nodes of [-L, 0], the exact negatives, then of [0, L]
-    x = np.concatenate([part for j, n in zip(starts, counts)
-                        for part in (-right[2 * j:2 * (j + n)][::-1],
-                                     right[2 * j:2 * (j + n)])])
-    v = np.asarray(potential(x), dtype=complex)
-    check_finite("potential", v, x)
-    samples = [v[4 * j:4 * (j + n)] for j, n in zip(starts, counts)]
-    mirrored = [_pt_symmetric(s) for s in samples]
-    one = int(all(mirrored))                    # 1 if [0, L] alone is integrated
-    v = np.concatenate([s.reshape(2, n, 2) for s, n in zip(samples, counts)],
-                       axis=1)[one:]            # half, step, node
-    h = np.stack((np.concatenate([h[j:j + n][::-1] for j, n in zip(starts, counts)]),
-                  h))[one:]                     # half, step
-    return _Layout(counts, v, h, mirrored)
-
-
-def _propagators(layout: _Layout, k2) -> np.ndarray:
+def _propagators(mesh: _Mesh, counts: tuple, k2) -> np.ndarray:
     """Magnus propagators across [-L, 0] and [0, L] for each step count of
-    ``layout`` (``_layout``) and each of the real squared momenta ``k2``:
-    the entries a, b, c, d of each [[a, b], [c, d]] in an array of shape
-    (len(counts), 4, len(k2), 2), [-L, 0] then [0, L] on the last axis.
+    ``counts`` on ``mesh`` (``_Mesh.layout``) and each of the real squared
+    momenta ``k2``: the entries a, b, c, d of each [[a, b], [c, d]] in an
+    array of shape (len(counts), 4, len(k2), 2), [-L, 0] then [0, L] on the
+    last axis.
 
-    Where a count is mirrored its propagator of [0, L] alone is needed: for
-    real k^2 the step of [-L, 0] at -x is the conjugate of the step at x
-    with its two nodes swapped, conj(S M^-1 S) with S = diag(1, -1), and
-    since the two-node Magnus step is time-symmetric this holds for the
-    discrete propagator too, so U = [[a, b], [c, d]] of [0, L] gives
-    conj([[d, b], [c, a]]) for [-L, 0].  Only [0, L] is multiplied when
-    every count is mirrored; otherwise both halves are.
+    The mirror is decided per pass.  A mirrored pass multiplies [0, L]
+    alone: for real k^2 the step of [-L, 0] at -x is the conjugate of the
+    step at x with its two nodes swapped, conj(S M^-1 S) with
+    S = diag(1, -1), and since the two-node Magnus step is time-symmetric
+    this holds for the discrete propagator too, so U = [[a, b], [c, d]] of
+    [0, L] gives conj([[d, b], [c, a]]) for [-L, 0].  Any other pass
+    multiplies both halves.
 
     The momenta are taken in chunks of max(1, ``_BLOCK`` // h.size), where
     h.size, the halves times the steps per half, is one momentum's number
@@ -407,7 +423,7 @@ def _propagators(layout: _Layout, k2) -> np.ndarray:
     product is formed as in a pass of that count alone, whatever the batch,
     the chunk and the counts that share the pass.
     """
-    counts, v, h, mirrored = layout
+    v, h, mirrored = mesh.layout(counts)
     c = max(1, _BLOCK // h.size)
     props = np.empty((len(counts), 2, 2, len(k2), len(v)), dtype=complex)
     for i in range(0, len(k2), c):
@@ -416,48 +432,10 @@ def _propagators(layout: _Layout, k2) -> np.ndarray:
         for s, ms in enumerate(_product(m, counts)):
             props[s, :, :, i:i + c] = ms
     props = props.reshape(len(counts), 4, len(k2), len(v))
-    # [-L, 0]: conj([[d, b], [c, a]]) of [0, L] where mirrored
-    left = np.where(np.reshape(mirrored, (-1, 1, 1, 1)),
-                    props[:, [3, 1, 2, 0], :, -1:].conj(), props[..., :1])
-    return np.concatenate((left, props[..., -1:]), axis=-1)
-
-
-class _Mesh:
-    """The k-independent half of the Jost kernel for one potential V on
-    [-L, L], each part built on first use: the mesh ``alpha`` from one
-    probe of V, the ``entry`` rung, and the ``_Layout`` of each tuple of
-    step counts a pass asks ``layout`` for.  Calling the mesh calls V and
-    counts the ``calls`` and ``samples`` taken, its own included.  The calls
-    of ``jost_solutions`` given one mesh share all of it, so V is sampled
-    once per distinct pass, not once per call.  It keeps V's samples as long
-    as it lives, so it should not outlive the calls on one V that need them
-    (``_peak_in_window`` drops its mesh when a scan point is done)."""
-
-    def __init__(self, potential: Callable, half_width: float):
-        self.potential, self.half_width = potential, half_width
-        # the first power of two n >= 4 L steps per half
-        self.entry = 1 << (math.ceil(4.0 * half_width) - 1).bit_length()
-        self.calls = self.samples = 0
-        self._layouts = {}
-
-    def __call__(self, x):
-        self.calls += 1
-        self.samples += np.size(x)
-        return self.potential(x)
-
-    @cached_property
-    def alpha(self) -> float:
-        """``_mesh_alpha`` of max|V| over ``_PROBE_POINTS`` equally spaced
-        points of [-L, L]."""
-        probe = np.linspace(-self.half_width, self.half_width, _PROBE_POINTS)
-        v = np.asarray(self(probe), dtype=complex)
-        check_finite("potential", v, probe)
-        return _mesh_alpha(float(np.abs(v).max()))
-
-    def layout(self, counts: tuple) -> _Layout:
-        if counts not in self._layouts:
-            self._layouts[counts] = _layout(self, self.half_width, counts, self.alpha)
-        return self._layouts[counts]
+    if mirrored:
+        # [-L, 0]: conj([[d, b], [c, a]]) of [0, L]
+        return np.concatenate((props[:, [3, 1, 2, 0]].conj(), props), axis=-1)
+    return props
 
 
 def _sweep(props, k, phase) -> np.ndarray:
@@ -479,19 +457,19 @@ def _sweep(props, k, phase) -> np.ndarray:
 def jost_solutions(potential: Callable, k, grid: GridSpec):
     """Values and derivatives of f+ and f- at x = -L, 0 and L.
 
-    ``k`` is a float or a 1-D array of momenta.  Returns ``(fp, dfp, fm,
-    dfm)``: for a float, each an array of the three values at x = -L, 0, L,
-    where L = ``grid.half_width`` (``grid.n_points`` is not used); for an
-    array, each of shape (len(k), 3), row i bit for bit the result for k[i]
-    alone.  f+ = e^{ikx} at x = +L and f- = e^{-ikx} at x = -L; each carries
-    its plane-wave data exactly on its own wall.
+    ``k`` is a real float or a 1-D array of real momenta.  Returns
+    ``(fp, dfp, fm, dfm)``: for a float, each an array of the three values
+    at x = -L, 0, L, where L = ``grid.half_width`` (``grid.n_points`` is not
+    used); for an array, each of shape (len(k), 3), row i bit for bit the
+    result for k[i] alone.  f+ = e^{ikx} at x = +L and f- = e^{-ikx} at
+    x = -L; each carries its plane-wave data exactly on its own wall.
 
     Each half of [-L, L] is crossed by n graded fourth-order Magnus steps,
     with edges x = L sinh(alpha t) / sinh(alpha), t = 0, 1/n, ..., 1, on
-    [0, L] and their negatives on [-L, 0] (``_layout``).  alpha is set
+    [0, L] and their negatives on [-L, 0] (``_Mesh.layout``).  alpha is set
     once per mesh from max|V| over ``_PROBE_POINTS`` = 801 equally spaced
     samples of [-L, L] (one more call of V, shared by the batch): the root
-    of sinh(alpha) / alpha = 2.5 sqrt(max(1, max|V|)) (``_mesh_alpha``),
+    of sinh(alpha) / alpha = 2.5 sqrt(max(1, max|V|)) (``_Mesh.alpha``),
     3.3 to 4.2 for the Scarf II pairs that the transmission-scan benchmark
     integrates, 4.3 to 5.6 for their partners and 9.4 to 10 for partners
     whose pole nears the real axis.  So the steps are short round x = 0,
@@ -502,10 +480,11 @@ def jost_solutions(potential: Callable, k, grid: GridSpec):
     Integration, Springer 2006, ch. II.4), so Richardson extrapolation
     applies as on equal steps.  f- is carried forward from -L and f+
     backward from +L through the same two propagators, so one set of steps
-    gives both.  When the samples of V satisfy V(-x) == conj V(x) bit for
-    bit, only [0, L] is integrated and the propagator of [-L, 0] is its
-    mirror image (``_propagators``), which needs the real k^2 that the k > 0
-    check ensures.  A float is a batch of one; the momenta of a batch share
+    gives both.  The mirror is decided per pass: when the samples of V at
+    every rung of a pass satisfy V(-x) == conj V(x) bit for bit, only
+    [0, L] is integrated and the propagator of [-L, 0] is its mirror image
+    (``_propagators``), which needs the real k^2 that the k > 0 check
+    ensures.  A float is a batch of one; the momenta of a batch share
     one ladder of step counts, and one sample of V per pass, at the 4n Gauss
     nodes of each of its rungs n, serves both halves and every momentum
     still on the ladder.  Every momentum enters at the same rung, the first
@@ -533,23 +512,26 @@ def jost_solutions(potential: Callable, k, grid: GridSpec):
     formed as in a pass of its own, and alpha and the entry rung depend on
     V and L alone, so a momentum's arithmetic does not depend on the batch.
     What does not depend on k (alpha, the entry rung, and each pass's
-    samples of V and PT tests) is held by a mesh of V and L (``_Mesh``): the
-    call builds its own, unless ``potential`` is a mesh for this L already,
-    as in ``_peak_in_window``, whose calls share one.  ``potential`` is
-    called with arrays only; a sample that is not finite raises
-    ``DomainError`` naming its x.  Every propagator has determinant 1, so
-    the Wronskian fp*dfm - dfp*fm is the same at the three points up to
-    roundoff and the extrapolation error.  Each momentum logs one DEBUG
-    record on the ``scarf_spectra`` logger with k, the final step count over
-    [-L, L], whether its rungs were "mirrored", integrated on "both halves"
-    or "mixed", the Richardson estimate (relative to max|f|), the Wronskian
+    samples of V and mirror) is held by a mesh of V and L (``_Mesh``): the
+    call builds its own, unless ``potential`` is a mesh already, as in
+    ``_peak_in_window``, whose calls share one built on the same grid.
+    ``potential`` is called with arrays only; a sample that is not finite
+    raises ``DomainError`` naming its x, and so does a V that does not give
+    one value per point.  Every propagator has determinant 1, so the
+    Wronskian fp*dfm - dfp*fm is the same at the three points up to roundoff
+    and the extrapolation error.  Each momentum logs one DEBUG record on the
+    ``scarf_spectra`` logger with k, the final step count over [-L, L],
+    whether its passes were "mirrored", integrated on "both halves" or
+    "mixed", the Richardson estimate (relative to max|f|), the Wronskian
     drift across the three points, the mesh alpha and the entry rung's step
     count over [-L, L].
     """
     L = grid.half_width
-    if np.ndim(k) > 1:
-        raise DomainError(f"k must be a float or a 1-D array, got shape {np.shape(k)}")
-    ks = np.array(k, dtype=float, ndmin=1)
+    ks = np.array(k, ndmin=1)
+    if ks.ndim > 1 or ks.dtype.kind not in "iuf":
+        raise DomainError("k must be a real float or a 1-D array of them, got shape "
+                          f"{np.shape(k)} of type {ks.dtype}")
+    ks = ks.astype(float)
     for kk in ks.tolist():
         if not (kk > 0.0 and math.isfinite(kk)):
             raise DomainError(f"k must be positive and finite, got {kk}")
@@ -559,8 +541,7 @@ def jost_solutions(potential: Callable, k, grid: GridSpec):
 
     k2 = ks * ks
     phase = np.exp(1j * ks * L)
-    mesh = (potential if isinstance(potential, _Mesh) and potential.half_width == L
-            else _Mesh(potential, L))
+    mesh = potential if isinstance(potential, _Mesh) else _Mesh(potential, L)
     entry = mesh.entry
     # f at a momentum's last rung and its extrapolation: NaN before the entry
     # rung, so that the first two rungs can meet no tolerance
@@ -569,21 +550,21 @@ def jost_solutions(potential: Callable, k, grid: GridSpec):
     out = np.empty_like(coarse)
     steps = np.zeros(len(ks), dtype=int)
     estimate = np.empty(len(ks))
-    halves = np.zeros(len(ks), dtype=int)      # 1 if a rung mirrored, 2 if not
+    halves = np.zeros(len(ks), dtype=int)      # 1 if a pass mirrored, 2 if not
     # no momentum can leave before the third rung, so the entry pass takes
     # the first three rungs at once (within the step cap); each later pass
     # takes one
     rungs = [n for n in (entry, 2 * entry, 4 * entry) if n == entry or 2 * n <= _MAX_STEPS]
     while not steps.all():
         on = np.flatnonzero(steps == 0)
-        layout = mesh.layout(tuple(rungs[::-1]))
-        props = _propagators(layout, k2[on])
+        counts = tuple(rungs[::-1])
+        props = _propagators(mesh, counts, k2[on])
+        halves[on] |= 1 if mesh.layout(counts)[2] else 2
         # one sweep for the momenta of every rung of the pass, largest rung first
         r = len(rungs)
         sweeps = _sweep(props.swapaxes(0, 1).reshape(4, -1, 2), np.tile(ks[on], r),
                         np.tile(phase[on], r)).reshape(r, len(on), 4, 3)
-        for n, fine, mirror in zip(rungs, sweeps[::-1], layout.mirrored[::-1]):
-            halves[on] |= 1 if mirror else 2
+        for n, fine in zip(rungs, sweeps[::-1]):
             if not np.isfinite(fine).all():
                 i = on[~np.isfinite(fine).all(axis=(1, 2))][0]
                 raise ConvergenceError(f"Jost integration at k = {ks[i]:.6g} is not finite")
@@ -631,8 +612,8 @@ def scattering(potential: Callable, k, grid: GridSpec):
     momenta, which gives a list of them, item i bit for bit the result for
     k[i] alone; the momenta share one ``jost_solutions`` pass, with its one
     graded mesh, one ladder of step counts from one entry rung and one
-    sample of V per pass, and a momentum that is not positive or too small
-    for the box raises ``DomainError`` before any integration.  The
+    sample of V per pass, and a momentum that is not real, not positive or
+    too small for the box raises ``DomainError`` before any integration.  The
     amplitudes are read from the plane-wave content of f+ at x = -L and of f-
     at x = +L, which ``jost_solutions`` gives to within
     ``_JOST_TOL`` (1 + max|f|), with ``_JOST_TOL`` = 1e-11; only
@@ -645,8 +626,8 @@ def scattering(potential: Callable, k, grid: GridSpec):
     by the size of its terms; it dips toward 0 at a spectral singularity.
     """
     L = grid.half_width
+    fp, dfp, fm, dfm = jost_solutions(potential, np.array(k, ndmin=1), grid)
     ks = np.array(k, dtype=float, ndmin=1)
-    fp, dfp, fm, dfm = jost_solutions(potential, ks, grid)
     fpL, dfpL, fmL, dfmL = fp[:, 0], dfp[:, 0], fm[:, 2], dfm[:, 2]    # f+ at -L, f- at +L
     fp0, dfp0, fm0, dfm0 = fp[:, 1], dfp[:, 1], fm[:, 1], dfm[:, 1]    # both at x = 0
     ik = 1j * ks
@@ -709,7 +690,8 @@ def _peak_in_window(potential: Callable, k_window, grid: GridSpec,
     first midpoints of a lopsided bracket.  Each momentum is integrated
     once.  The calls share one ``_Mesh`` of V, passed to ``scattering`` as
     the potential: V is probed once and sampled once per distinct pass of
-    the Jost ladder, and the mesh is dropped when the call returns.
+    the Jost ladder, so the calls and samples of V are read from the
+    mesh's cached passes, and the mesh is dropped when the call returns.
     """
     try:
         k_lo, k_hi = (float(k) for k in k_window)
@@ -719,7 +701,7 @@ def _peak_in_window(potential: Callable, k_window, grid: GridSpec,
         raise DomainError(f"invalid momentum window ({k_lo}, {k_hi})")
     if not isinstance(coarse_steps, numbers.Integral) or coarse_steps < 5:
         raise DomainError(f"coarse_steps must be an integer >= 5, got {coarse_steps!r}")
-    if not (math.isfinite(xtol) and xtol > 0.0):
+    if not (isinstance(xtol, numbers.Real) and math.isfinite(xtol) and xtol > 0.0):
         raise DomainError(f"xtol must be finite and positive, got {xtol}")
 
     mesh = _Mesh(potential, grid.half_width)
@@ -745,8 +727,8 @@ def _peak_in_window(potential: Callable, k_window, grid: GridSpec,
         new = new or {m for a, b in ((lo, k), (k, hi)) if a < (m := 0.5 * (a + b)) < b}
         if hi - lo <= xtol * (abs(lo) + abs(hi)) or not new:
             return (k, k in (k_lo, k_hi), found[i],
-                    (1 + sum(steps), *steps, len(found), mesh.calls, mesh.samples,
-                     hi - lo))
+                    (1 + sum(steps), *steps, len(found), 1 + len(mesh._layouts),
+                     _PROBE_POINTS + 4 * sum(map(sum, mesh._layouts)), hi - lo))
         steps[bisect] += 1
         pace *= 0.5
         found = sorted(found + scattering(mesh, np.array(sorted(new)), grid),
@@ -805,12 +787,16 @@ def residual(potential: Callable, psi: Callable, energy: complex,
 
     D2 is the eighth-order central finite-difference Laplacian
     (``_D2_STENCIL``); its truncation error sits near roundoff for smooth
-    states on the reference grid.  A result that is not finite raises
-    ``DomainError`` naming the smallest x where psi, or V inside, is not finite.
+    states on the reference grid.  A psi or V that does not give one value
+    per grid point, or has a sample that is not finite, raises
+    ``DomainError`` naming it (and the smallest such x) before any
+    arithmetic.
     """
     xs = grid.points()
     f = np.asarray(psi(xs), dtype=complex)
     v = np.asarray(potential(xs), dtype=complex)
+    check_finite("psi", f, xs)
+    check_finite("potential", v, xs)
     hw = len(_D2_STENCIL) // 2
     n = len(xs)
     d2 = np.zeros(n - 2 * hw, dtype=complex)
@@ -822,9 +808,4 @@ def residual(potential: Callable, psi: Callable, energy: complex,
     peak = np.max(np.abs(f))
     if peak == 0.0:
         raise DomainError("psi vanishes identically on the grid")
-    out = float(res / peak)
-    if not math.isfinite(out):
-        # each sample of psi and V[inner] enters res: a finite result needs no scan
-        check_finite("psi", f, xs)
-        check_finite("potential", v[inner], xs[inner])
-    return out
+    return float(res / peak)

@@ -19,6 +19,7 @@ doubling composite Simpson rule and a Richardson error estimate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,8 +49,8 @@ class JacobiSpec:
     beta: complex
 
     def __post_init__(self):
-        if self.n < 0:
-            raise DomainError(f"polynomial degree must be >= 0, got {self.n}")
+        if not isinstance(self.n, numbers.Integral) or self.n < 0:
+            raise DomainError(f"polynomial degree must be an integer >= 0, got {self.n!r}")
 
 
 def _binomial_rising(z: complex, j: int) -> complex:

@@ -16,6 +16,11 @@ def test_coupling_validation():
         CouplingParams(1.0, 0.0)
     with pytest.raises(DomainError):
         CouplingParams(float("inf"), 1.0)
+    # a coupling that is not a real number, which math.isfinite would reject
+    # with a TypeError
+    for v1, v2 in (("12", 6), (12, 6j), (None, 6)):
+        with pytest.raises(DomainError, match="couplings"):
+            CouplingParams(v1, v2)
     CouplingParams(1.0, -5.0)  # negative v2 is allowed
 
 

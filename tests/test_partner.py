@@ -406,6 +406,8 @@ def test_partner_polynomial_skips_deleted_index():
         partner_polynomial(-1, 1, REAL_D.p, REAL_D.s, 0.5)
     with pytest.raises(DomainError, match="epsilon"):
         partner_polynomial(0, 0, REAL_D.p, REAL_D.s, 0.5)
+    with pytest.raises(DomainError, match="level index"):
+        partner_polynomial(2.5, 1, REAL_D.p, REAL_D.s, 0.5)
 
 
 def test_exceptional_jacobi_degree1_convention():
@@ -425,6 +427,9 @@ def test_exceptional_jacobi_validation():
         exceptional_jacobi(2, 0.5, 2.0, 0.5)            # 2s - 1 = 0
     with pytest.raises(DomainError):
         exceptional_jacobi(2, 0.25, 0.75, 0.5)          # p + s - 1 = 0
+    for degree in (2.5, 2.0):
+        with pytest.raises(DomainError, match="degree"):
+            exceptional_jacobi(degree, 1.25, 2.0, 0.5)
 
 
 def test_exceptional_jacobi_matches_minus_family():
@@ -499,6 +504,9 @@ def test_partner_closed_form_range_checks():
         partner_wavefunction_closed(br, REAL_D, 5, 1, 0.0)
     with pytest.raises(DomainError):
         partner_wavefunction_closed(solve_branch(REAL_D, -1, 1), REAL_D, 0, 1, 0.0)
+    # (2, +1) is a level of this partner, but its index must be an integer
+    with pytest.raises(DomainError, match="no level"):
+        partner_wavefunction_closed(br, REAL_D, 2.0, 1, 0.0)
 
 
 def test_partner_intertwined_all_branches():

@@ -82,6 +82,9 @@ def test_level_record_validation():
         LevelRecord(n=-1, epsilon=1, energy=-1.0, wf=None)
     with pytest.raises(DomainError):
         LevelRecord(n=0, epsilon=0, energy=-1.0, wf=None)
+    for n in (1.5, 1.0):
+        with pytest.raises(DomainError, match="level index"):
+            LevelRecord(n=n, epsilon=1, energy=-1.0, wf=None)
 
 
 def test_regime_mismatch_errors():

@@ -383,6 +383,14 @@ def test_scattering_momentum_validation():
         scattering(_zero, 0.0, g)
     with pytest.raises(DomainError, match="1-D array"):
         jost_solutions(_zero, np.full((2, 2), 1.0), g)
+    # a complex momentum is rejected before V is sampled, not cut to its real
+    # part
+    calls = []
+    for k in (np.array([1.0 + 0.5j, 2.0]), 1.0 + 0.5j):
+        for call in (scattering, jost_solutions):
+            with pytest.raises(DomainError, match="k must be a real float"):
+                call(_counted(_zero, calls), k, g)
+    assert calls == []
 
 
 def test_off_locus_wronskian_bounded_away_from_zero():
@@ -484,11 +492,11 @@ def test_batched_momenta_match_single_calls_bit_for_bit(monkeypatch, caplog, pot
     propagators = verify_module._propagators
     step_exponentials = verify_module._step_exponentials
 
-    def spy_propagators(layout, k2):
+    def spy_propagators(mesh, counts, k2):
         start = len(rows)
-        props = propagators(layout, k2)
+        props = propagators(mesh, counts, k2)
         # the pass's step counts, momenta and chunks
-        passes.append((layout.counts, len(k2), len(rows) - start))
+        passes.append((counts, len(k2), len(rows) - start))
         return props
 
     def spy_step_exponentials(w1, w2, h):
@@ -634,11 +642,18 @@ def test_mirrored_propagator_matches_both_halves(monkeypatch, potential, grid):
         assert (np.abs(got - ref).max(axis=1) <= 1e-13 * np.abs(ref).max(axis=1)).all()
 
 
+def _mesh(potential):
+    """A fresh mesh of ``potential`` on [-20, 20] with alpha = 3."""
+    mesh = verify_module._Mesh(potential, 20.0)
+    mesh.alpha = 3.0
+    return mesh
+
+
 def _pass(potential, counts, k2):
-    """The propagators of a pass of ``counts`` on [-20, 20] with alpha = 3,
-    laid out afresh, and whether each count was mirrored."""
-    layout = verify_module._layout(potential, 20.0, counts, 3.0)
-    return verify_module._propagators(layout, k2), layout.mirrored
+    """The propagators of a pass of ``counts`` on a fresh ``_mesh``, and
+    whether the pass was mirrored."""
+    mesh = _mesh(potential)
+    return verify_module._propagators(mesh, counts, k2), mesh.layout(counts)[2]
 
 
 @pytest.mark.parametrize("potential", [_pot(PARAMS_COMPLEX), _gaussian_well],
@@ -648,40 +663,45 @@ def test_propagators_do_not_depend_on_the_chunk(monkeypatch, potential):
     # on the batch, so a momentum's arithmetic must not depend on the memory
     # layout of its chunk (contiguous, strided or broadcast, where NumPy's
     # inner loops take other paths) nor on the momenta that share it
-    layout = verify_module._layout(potential, 20.0, (512, 256, 128), 3.0)
+    mesh, counts = _mesh(potential), (512, 256, 128)
     k2 = np.linspace(0.4, 3.0, 11) ** 2        # more momenta than one chunk holds
     k2_big = np.repeat(k2, 2)
-    ref = verify_module._propagators(layout, k2)
-    assert np.array_equal(verify_module._propagators(layout, k2_big[::2]), ref)
+    ref = verify_module._propagators(mesh, counts, k2)
+    assert np.array_equal(verify_module._propagators(mesh, counts, k2_big[::2]), ref)
     for j, kk in enumerate(k2):
-        same = verify_module._propagators(layout, np.broadcast_to(kk, (5,)))
+        same = verify_module._propagators(mesh, counts, np.broadcast_to(kk, (5,)))
         assert np.array_equal(same, np.repeat(ref[:, :, j:j + 1], 5, axis=2)), j
     monkeypatch.setattr(verify_module, "_BLOCK", 1)     # one momentum a chunk
-    assert np.array_equal(verify_module._propagators(layout, k2), ref)
+    assert np.array_equal(verify_module._propagators(mesh, counts, k2), ref)
 
 
 def test_each_rung_of_a_pass_is_mirrored_by_its_own_samples(monkeypatch, caplog):
-    # a pass whose middle rung's samples fail the PT test integrates both
-    # halves of that rung, and its other rungs keep their mirrored
-    # propagators, each bit for bit as in a pass of one kind
+    # the mirror is decided per pass: a pass one of whose rungs' samples fail
+    # the PT test integrates both halves of every rung, bit for bit as a
+    # pass that mirrors none
     pot, k2 = _pot(PARAMS_COMPLEX), np.array([0.8, 1.7]) ** 2
     counts = (512, 256, 128)
     props, mirrored = _pass(pot, counts, k2)
-    assert mirrored == [True, True, True]
+    assert mirrored is True
     pt_symmetric = verify_module._pt_symmetric
     monkeypatch.setattr(verify_module, "_pt_symmetric",
                         lambda v: len(v) != 4 * 256 and pt_symmetric(v))
-    mixed, mirrored = _pass(pot, counts, k2)
-    assert mirrored == [True, False, True]
+    one_failed, mirrored = _pass(pot, counts, k2)
+    assert mirrored is False
     with caplog.at_level(logging.DEBUG, logger="scarf_spectra"):
+        # leaves in the entry pass, which integrates both halves
         jost_solutions(pot, 1.0, GridSpec(20.0, 201))
-    assert caplog.records[0].args[2] == "mixed"
+        # climbs past the entry pass to 2048 steps per half, and its later
+        # passes of 1024 and 2048 steps are mirrored
+        jost_solutions(_partner(CouplingParams(100.0, 1.0), (-1, -1)), 1.0,
+                       GridSpec(20.0, 201))
+    assert [(r.args[1], r.args[2]) for r in caplog.records] == [
+        (1024, "both halves"), (4096, "mixed")]
     monkeypatch.setattr(verify_module, "_pt_symmetric", lambda v: False)
     both, mirrored = _pass(pot, counts, k2)
-    assert mirrored == [False, False, False]
-    assert np.array_equal(mixed[[0, 2]], props[[0, 2]])
-    assert np.array_equal(mixed[1], both[1])
-    assert np.abs(mixed[1] - props[1]).max() <= 1e-13 * np.abs(props[1]).max()
+    assert mirrored is False
+    assert np.array_equal(one_failed, both)
+    assert np.abs(one_failed - props).max() <= 1e-13 * np.abs(props).max()
 
 
 def test_jost_solutions_integrates_both_halves_of_a_non_pt_potential(monkeypatch):
@@ -707,9 +727,9 @@ def test_jost_solutions_takes_the_first_three_rungs_in_one_pass(monkeypatch, cap
     propagators = verify_module._propagators
     step_exponentials = verify_module._step_exponentials
 
-    def spy_propagators(layout, k2):
-        passes.append(layout.counts)
-        return propagators(layout, k2)
+    def spy_propagators(mesh, counts, k2):
+        passes.append(counts)
+        return propagators(mesh, counts, k2)
 
     def spy_step_exponentials(w1, w2, h):
         steps.append(w1.shape)
@@ -1092,7 +1112,7 @@ def test_singularity_scan_validation():
     for steps in (9.5, 9.0, "9"):
         with pytest.raises(DomainError, match="coarse_steps"):
             singularity_scan([PARAMS_COMPLEX], (0.9, 1.3), grid, coarse_steps=steps)
-    for xtol in (0.0, -1.0, float("nan")):
+    for xtol in (0.0, -1.0, float("nan"), "1e-6"):
         with pytest.raises(DomainError, match="xtol"):
             singularity_scan([PARAMS_COMPLEX], (0.9, 1.3), grid, xtol=xtol)
     # an end that is not finite, before numpy's linspace warns on it
@@ -1141,3 +1161,23 @@ def test_residual_validation():
     nan_well = lambda x: np.where(x > 5.0, np.nan, potential_value(PARAMS_REAL, x))
     with pytest.raises(DomainError, match="potential is not finite at x = 5.01$"):
         residual(nan_well, lambda x: bound_state(lv, x), lv.energy, REFERENCE_GRID)
+
+
+def test_a_callable_without_one_value_per_point_is_a_domain_error():
+    # a scalar V or psi, which would broadcast or fail with IndexError, and a
+    # V of the wrong length, which the kernel would fail to reshape, are named
+    lv = spectrum(derive(PARAMS_REAL))[0]
+    psi = lambda x: bound_state(lv, x)
+    scalar = lambda x: 0.0
+    # right on the probe of 801 points, too short on every pass
+    short = lambda x: potential_value(PARAMS_REAL, x)[:verify_module._PROBE_POINTS]
+    one_value = "must give one value per point"
+    for pot in (scalar, short):
+        with pytest.raises(DomainError, match="potential " + one_value):
+            jost_solutions(pot, 1.0, GridSpec(20.0, 201))
+    with pytest.raises(DomainError, match="potential " + one_value):
+        discrete_spectrum(scalar, REFERENCE_GRID, 1)
+    with pytest.raises(DomainError, match="potential " + one_value):
+        residual(scalar, psi, lv.energy, REFERENCE_GRID)
+    with pytest.raises(DomainError, match="psi " + one_value):
+        residual(_pot(PARAMS_REAL), lambda x: 1.0, lv.energy, REFERENCE_GRID)

@@ -17,6 +17,11 @@ def test_jacobi_degree_zero_and_validation():
     assert jacobi_eval(JacobiSpec(0, 0.3 + 1j, -2.0), 0.7 - 0.1j) == 1.0
     with pytest.raises(DomainError):
         JacobiSpec(-1, 0.0, 0.0)
+    # a degree that is not an integer, which the recurrence would reject with
+    # a TypeError when evaluated
+    for n in (2.5, 2.0):
+        with pytest.raises(DomainError, match="degree"):
+            JacobiSpec(n, 0.3 + 1j, -2.0)
 
 
 def test_jacobi_degree_one_bracket_identity():
@@ -277,6 +282,12 @@ def test_pseudo_norm_non_finite_domain():
     # a domain is two ends
     with pytest.raises(DomainError, match="domain"):
         pseudo_norm(lambda x: np.exp(-x * x), (0, 1, 2))
+
+
+def test_pseudo_norm_needs_one_value_per_point():
+    # a psi that gives a scalar is named, not an IndexError of the quadrature
+    with pytest.raises(DomainError, match="integrand must give one value per point"):
+        pseudo_norm(lambda x: 1.0, (-5.0, 5.0))
 
 
 def test_pseudo_norm_non_finite_sample():
